@@ -12,9 +12,12 @@ which times the package's functions from outside ``src/``.
 
 ``--trace 0`` reports the end-to-end metrics of untraced runs.  ``--trace 1``
 runs the workload once untraced and then at least twice with every layer
-wrapped, and reports the per-layer metrics and the tracing overhead.  The
-last line of standard output is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``.
+wrapped, and reports the per-layer metrics and the tracing overhead; the
+spans of its traced iterations are kept in
+``.bench_work/<workload>-<seed>.spans.jsonl``.  The scratch directory is
+deleted at the end of every run.  The last line of standard output is one
+JSON object with the keys ``correct``, ``attempted``, ``failed`` and
+``metrics``.
 
 Every command run is one attempted operation.  It fails when it exits
 non-zero, when algorithms disagree on a prediction byte or an accuracy,
@@ -115,6 +118,7 @@ class CommandRun:
     rss_mb: float
     exit_code: int
     stats: dict | None
+    stats_path: Path
     outputs: dict[str, str | None]
     failures: list[str] = field(default_factory=list)
 
@@ -190,6 +194,7 @@ class Runner:
             rss_mb=usage.ru_maxrss / 1024.0,
             exit_code=proc.returncode,
             stats=stats,
+            stats_path=stats_path,
             outputs={name: _digest(self.work / name) for name in command.outputs},
         )
         if run.exit_code != 0:
@@ -310,6 +315,7 @@ def layer_metrics(runs: list[CommandRun]) -> dict[str, float]:
         out[f"metrics.peak_stack_words.{alg}"] = counters[alg][1]
     out["metrics.model_words.dt"] = counters["dt"][2]
     out["tracing.wall_s"] = sum(run.wall_s for run in runs)
+    out["tracing.bad_spans"] = totals.get("tracing.bad_spans", 0.0)
     return out
 
 
@@ -352,12 +358,29 @@ def traced_run(runner: Runner, seconds: float):
         if metrics["tracing.self_s_sum"] > metrics["tracing.wall_s"]:
             for run in runs:
                 run.failures.append("layer self times exceed the traced wall time")
+        if metrics["tracing.bad_spans"]:
+            for run in runs:
+                run.failures.append(f"{metrics['tracing.bad_spans']:.0f} spans do not nest"
+                                    " in their parent or have a negative self time")
         traced.append(runs)
         layers.append(metrics)
     out = {name: _median(metrics[name] for metrics in layers) for name in PER_LAYER}
     out["tracing.untraced_wall_s"] = sum(run.wall_s for run in reference)
     out["tracing.overhead_s"] = out["tracing.wall_s"] - out["tracing.untraced_wall_s"]
     return [reference] + traced, out
+
+
+def keep_spans(traced: list[list[CommandRun]], path: Path) -> None:
+    """Write the spans of every traced iteration to one file, one span a line:
+    ``[iteration, command, name, start_s, end_s, span id, parent id]``."""
+    with open(path, "w") as out:
+        for i, runs in enumerate(traced, start=1):
+            for run in runs:
+                prefix = f"[{i}, {json.dumps(run.command.name)}, "
+                spans = Path(f"{run.stats_path}.spans.jsonl")
+                if spans.is_file():
+                    with open(spans) as handle:
+                        out.writelines(prefix + line[1:] for line in handle)
 
 
 def machine_details() -> str:
@@ -374,8 +397,6 @@ def parse_args(argv):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", action="store_true",
                         help="store this run's outputs and counters in expected.json")
-    parser.add_argument("--keep", action="store_true",
-                        help="keep the scratch directory (inputs, outputs, stats, spans)")
     return parser.parse_args(argv)
 
 
@@ -389,6 +410,7 @@ def main(argv=None) -> int:
     recorded = json.loads(EXPECTED.read_text()) if EXPECTED.is_file() else {}
     expected = None if args.record else recorded.get(workload.name, {}).get(str(args.seed))
     work = root / ".bench_work" / f"{workload.name}-{args.seed}-{os.getpid()}"
+    spans = root / ".bench_work" / f"{workload.name}-{args.seed}.spans.jsonl"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     try:
@@ -397,13 +419,13 @@ def main(argv=None) -> int:
         runner.warm_up()
         if args.trace:
             iterations, values = traced_run(runner, args.seconds)
+            keep_spans(iterations[1:], spans)
             units = PER_LAYER
         else:
             iterations, values = untraced_run(runner, args.seconds)
             units = END_TO_END
     finally:
-        if not args.keep:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     all_runs = [run for runs in iterations for run in runs]
     failed = sum(1 for run in all_runs if run.failures)
@@ -422,8 +444,15 @@ def main(argv=None) -> int:
         print(f"iteration {i}: " + ", ".join(
             f"{run.command.name} {run.wall_s:.3f} s" for run in runs))
     print(f"workload {workload.name} (seed {args.seed}): {workload.why}")
+    if args.record:
+        checked = "recording" if not failed else "not recorded, the run failed"
+    else:
+        checked = "checked" if expected is not None else f"none for seed {args.seed}"
     print(f"{len(iterations)} iterations of {len(workload.commands)} commands;"
-          f" fail_ratio {failed}/{len(all_runs)} = {failed / len(all_runs)}")
+          f" fail_ratio {failed}/{len(all_runs)} = {failed / len(all_runs)};"
+          f" recorded values: {checked}")
+    if args.trace:
+        print(f"spans of the traced iterations: {spans.relative_to(root)}")
     print(json.dumps({
         "correct": failed == 0,
         "attempted": len(all_runs),

@@ -12,7 +12,7 @@ layer the benchmark reports.  Nothing under ``src/`` changes: each wrapped
 name is rebound in every ``treelab`` module that imported it, so recursive
 ``build_tree`` calls and the ``ALGORITHMS`` table go through the wrappers.
 Spans stay in memory while the command runs and are written next to the
-stats file when it ends.
+stats file, as ``STATS_JSON.spans.jsonl``, when it ends.
 """
 
 import time
@@ -27,6 +27,7 @@ from collections import defaultdict  # noqa: E402
 
 DIGEST_CHARS = 16  # of a sha256 hex digest; enough to tell outputs apart
 BANDS = ((8, "le8"), (64, "le64"), (512, "le512"))
+SELF_TOLERANCE_S = 1e-9  # rounding of a duration minus its children's durations
 # spans whose note is a row count, and the name of the count they add to
 ROW_NOTES = {
     "splitcore.partition": "rows",
@@ -215,15 +216,24 @@ def algorithm_stats(spans) -> dict:
 
 
 def layer_stats(spans) -> dict:
-    """Additive per-layer totals: seconds, self seconds, calls, rows."""
+    """Additive per-layer totals: seconds, self seconds, calls, rows.
+
+    ``tracing.bad_spans`` counts spans that do not nest: a parent id that
+    names no span, a span that starts before or ends after its parent, or a
+    negative self time (a child counted twice or under the wrong parent).
+    """
     children = defaultdict(float)
     for _, start, end, _, parent, _ in spans:
         children[parent] += end - start
+    bounds = {span_id: (start, end) for _, start, end, span_id, _, _ in spans}
     out = defaultdict(float)
     fold_s = defaultdict(list)
-    for name, start, end, span_id, _, note in spans:
+    for name, start, end, span_id, parent, note in spans:
         duration = end - start
         self_s = duration - children[span_id]
+        outer = (start, end) if parent == -1 else bounds.get(parent)
+        if outer is None or start < outer[0] or end > outer[1] or self_s < -SELF_TOLERANCE_S:
+            out["tracing.bad_spans"] += 1
         out[f"{name}.s"] += duration
         out[f"{name}.self_s"] += self_s
         out[f"{name}.calls"] += 1
