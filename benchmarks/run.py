@@ -2,16 +2,18 @@
 
 Run from the repository root::
 
-    python3 benchmarks/run.py --workload paper-cv --seed 1 --seconds 38 --trace 0
+    python3 benchmarks/run.py --workload paper-cv --seed 1 --seconds 40 --trace 0
 
 The benchmark writes the workload's seeded CSVs into a scratch directory
 under ``.bench_work/``, then runs the workload's ``treelab`` commands one
-process at a time (``--jobs 1``), and repeats them while another iteration
-still fits in ``--seconds``.  Every command runs through ``spans.py``,
+process at a time (``--jobs 1``).  Every command runs through ``spans.py``,
 which times the package's functions from outside ``src/``.
 
-``--trace 0`` reports the end-to-end metrics of untraced runs.  ``--trace 1``
-runs the workload once untraced and then at least twice with every layer
+``--trace 0`` cycles through the workload's schedule while a command still
+fits in ``--seconds``, runs every command at least twice, and reports the
+end-to-end metrics: times as medians over each command's runs, vote rates
+over all of the run's calls.  ``--trace 1``
+runs each command once untraced and then at least twice with every layer
 wrapped, and reports the per-layer metrics and the tracing overhead; the
 spans of its traced iterations are kept in
 ``.bench_work/<workload>-<seed>.spans.jsonl``.  The scratch directory is
@@ -22,8 +24,8 @@ JSON object with the keys ``correct``, ``attempted``, ``failed`` and
 Every command run is one attempted operation.  It fails when it exits
 non-zero, when algorithms disagree on a prediction byte or an accuracy,
 when batched explores more nodes than dt, when its outputs or counters
-differ from the first run of the same seed (or, in a traced run, from the
-untraced run), or when they differ from the values recorded for that seed
+differ from the first run of the same command (or, in a traced run, from
+the untraced run), or when they differ from the values recorded for that seed
 in ``expected.json``.  ``--record`` stores a clean run's values there.
 """
 
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -53,7 +57,7 @@ from workloads import ALGORITHMS, Command, Workload, workloads  # noqa: E402
 SPANS = HERE / "spans.py"
 EXPECTED = HERE / "expected.json"
 RUN_LIMIT_S = 150  # commands still running this long after the start are killed
-MIN_ITERATIONS = 2
+MIN_RUNS = 2  # of every command in an untraced run; traced passes in a traced run
 BANDS = ("le8", "le64", "le512", "gt512")
 DIGEST_CHARS = 16  # of a sha256 hex digest; enough to tell outputs apart
 
@@ -262,24 +266,35 @@ def _median(values) -> float:
     return float(statistics.median(values)) if values else 0.0
 
 
-def end_to_end(iterations: list[list[CommandRun]]) -> dict[str, float]:
-    """Medians over iterations of the untraced end-to-end metrics."""
-    done = [[run for run in runs if run.stats] for runs in iterations]
+def _by_command(runs: list[CommandRun]) -> dict[str, list[CommandRun]]:
+    groups: dict[str, list[CommandRun]] = {}
+    for run in runs:
+        groups.setdefault(run.command.name, []).append(run)
+    return groups
+
+
+def end_to_end(runs: list[CommandRun]) -> dict[str, float]:
+    """The untraced end-to-end metrics of a run.
+
+    ``wall_s`` and ``cpu_s`` add up one median run of every command;
+    ``peak_rss_mb`` is the largest command's median.  ``votes_per_s`` is
+    the votes of all the run's calls of an algorithm over their seconds, so
+    that every call counts, whichever half of the run it fell in.
+    """
+    groups = _by_command(runs).values()
+    done = [run for run in runs if run.stats]
     metrics = {
-        "wall_s": _median(sum(run.wall_s for run in runs) for runs in iterations),
-        "cpu_s": _median(sum(run.cpu_s for run in runs) for runs in iterations),
-        "setup_s": _median(run.stats["setup_s"] for runs in done for run in runs),
-        "peak_rss_mb": _median(max(run.rss_mb for run in runs) for runs in iterations),
+        "wall_s": sum(_median(run.wall_s for run in group) for group in groups),
+        "cpu_s": sum(_median(run.cpu_s for run in group) for group in groups),
+        "setup_s": _median(run.stats["setup_s"] for run in done),
+        "peak_rss_mb": max(_median(run.rss_mb for run in group) for group in groups),
     }
     for alg in ALGORITHMS:
-        rates = []
-        for runs in done:
-            entries = [run.stats["algorithms"][alg] for run in runs
-                       if alg in run.stats["algorithms"]]
-            seconds = sum(entry["seconds"] for entry in entries)
-            if seconds > 0:
-                rates.append(sum(entry["votes"] for entry in entries) / seconds)
-        metrics[f"votes_per_s.{alg}"] = _median(rates)
+        entries = [run.stats["algorithms"][alg] for run in done
+                   if alg in run.stats["algorithms"]]
+        seconds = sum(entry["seconds"] for entry in entries)
+        metrics[f"votes_per_s.{alg}"] = (
+            sum(entry["votes"] for entry in entries) / seconds if seconds > 0 else 0.0)
     return metrics
 
 
@@ -328,17 +343,37 @@ def _more(runner: Runner, done: int, start: float, seconds: float) -> bool:
     elapsed = time.perf_counter() - start
     if not runner.time_left():
         return False
-    return done < MIN_ITERATIONS or elapsed + elapsed / done <= seconds
+    return done < MIN_RUNS or elapsed + elapsed / done <= seconds
 
 
 def untraced_run(runner: Runner, seconds: float):
+    """Cycle through the schedule, skipping a command whose median run no
+    longer ends within ``seconds``, until none does and every command has
+    run ``MIN_RUNS`` times."""
     start = time.perf_counter()
-    iterations = []
-    while _more(runner, len(iterations), start, seconds):
-        runs = runner.iteration("light")
-        runner.check_repeat(runs, iterations[0] if iterations else runs, "the first run")
-        iterations.append(runs)
-    return iterations, end_to_end(iterations)
+    runs: list[CommandRun] = []
+    walls: dict[str, list[float]] = {command.name: [] for command in runner.workload.commands}
+    skipped = 0
+    for command in itertools.cycle(runner.workload.schedule):
+        if not runner.time_left() or skipped == len(runner.workload.schedule):
+            break
+        own = walls[command.name]
+        elapsed = time.perf_counter() - start
+        # a command with fewer runs is never skipped, so a whole cycle of
+        # skips means every command has its MIN_RUNS
+        if len(own) >= MIN_RUNS and elapsed + statistics.median(own) > seconds:
+            skipped += 1
+            continue
+        skipped = 0
+        run = runner.run_command(command, "light")
+        own.append(run.wall_s)
+        runs.append(run)
+    first = {name: group[0] for name, group in _by_command(runs).items()}
+    for run in runs:
+        runner.check_repeat([run], [first[run.command.name]], "the first run")
+    # the files on disk are the last run's of each command
+    runner.check_agreement(list({run.command.name: run for run in runs}.values()))
+    return runs, end_to_end(runs)
 
 
 def traced_run(runner: Runner, seconds: float):
@@ -367,7 +402,7 @@ def traced_run(runner: Runner, seconds: float):
     out = {name: _median(metrics[name] for metrics in layers) for name in PER_LAYER}
     out["tracing.untraced_wall_s"] = sum(run.wall_s for run in reference)
     out["tracing.overhead_s"] = out["tracing.wall_s"] - out["tracing.untraced_wall_s"]
-    return [reference] + traced, out
+    return reference, traced, out
 
 
 def keep_spans(traced: list[list[CommandRun]], path: Path) -> None:
@@ -401,6 +436,9 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
+    # on SIGTERM, unwind like an exception: the running command is killed and
+    # waited for, and the scratch directory is deleted
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     args = parse_args(argv)
     root = Path.cwd()
     if not (root / "src" / "treelab" / "cli.py").is_file():
@@ -418,16 +456,16 @@ def main(argv=None) -> int:
         runner = Runner(root, work, workload, expected)
         runner.warm_up()
         if args.trace:
-            iterations, values = traced_run(runner, args.seconds)
-            keep_spans(iterations[1:], spans)
+            reference, traced, values = traced_run(runner, args.seconds)
+            keep_spans(traced, spans)
+            all_runs = reference + [run for runs in traced for run in runs]
             units = PER_LAYER
         else:
-            iterations, values = untraced_run(runner, args.seconds)
+            all_runs, values = untraced_run(runner, args.seconds)
             units = END_TO_END
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    all_runs = [run for runs in iterations for run in runs]
     failed = sum(1 for run in all_runs if run.failures)
     if args.trace:
         values["check.fail_ratio"] = failed / len(all_runs)
@@ -436,19 +474,18 @@ def main(argv=None) -> int:
             print(f"FAILED {run.command.name}: {message}", file=sys.stderr)
     if args.record and not failed:
         recorded.setdefault(workload.name, {})[str(args.seed)] = {
-            run.command.name: run.fingerprint() for run in iterations[0]}
+            name: runs[0].fingerprint() for name, runs in _by_command(all_runs).items()}
         EXPECTED.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
 
     print(machine_details())
-    for i, runs in enumerate(iterations):
-        print(f"iteration {i}: " + ", ".join(
-            f"{run.command.name} {run.wall_s:.3f} s" for run in runs))
+    for name, runs in _by_command(all_runs).items():
+        print(f"{name}: " + ", ".join(f"{run.wall_s:.3f}" for run in runs) + " s")
     print(f"workload {workload.name} (seed {args.seed}): {workload.why}")
     if args.record:
         checked = "recording" if not failed else "not recorded, the run failed"
     else:
         checked = "checked" if expected is not None else f"none for seed {args.seed}"
-    print(f"{len(iterations)} iterations of {len(workload.commands)} commands;"
+    print(f"{len(all_runs)} runs of {len(workload.commands)} commands;"
           f" fail_ratio {failed}/{len(all_runs)} = {failed / len(all_runs)};"
           f" recorded values: {checked}")
     if args.trace:

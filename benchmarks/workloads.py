@@ -36,12 +36,12 @@ BIG_LAZY_ROWS = 4  # lazy spot-check: the first rows of the test file
 
 # categorical-trace: eight classes, mostly categorical columns.
 CAT_TRAIN_ROWS = 3_000
-CAT_TEST_ROWS = 30
+CAT_TEST_ROWS = 90
 CAT_CLASSES = 8
 CAT_LEVELS = (4, 5, 6, 7, 8, 9, 10, 12, 14, 16)
 CAT_NUMERIC = 2
 CAT_SIGNAL = 0.3  # chance that a cell holds its class's preferred level
-CAT_BOOTSTRAPS = 4
+CAT_BOOTSTRAPS = 1
 CAT_MIN_COUNT = 1  # grow to purity, so every tree and trace is large
 
 ALGORITHMS = ("dt", "lazy", "batched")
@@ -62,9 +62,11 @@ class Workload:
     why: str
     generate: Callable[[int, Path], None]  # (seed, work dir): writes the input CSVs
     commands: tuple[Command, ...]
-    # cross-algorithm checks on the files of one iteration:
+    # cross-algorithm checks on the files the commands last wrote:
     # (work dir) -> [(command name, message), ...]
     check: Callable[[Path], list[tuple[str, str]]]
+    # the order in which an untraced run cycles through the commands
+    schedule: tuple[Command, ...]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -144,13 +146,20 @@ def generate_categorical_trace(seed: int, work: Path) -> None:
 
 
 def check_paper_cv(work: Path) -> list[tuple[str, str]]:
-    """The report's three accuracies must be the same bytes."""
-    with open(work / "report.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    accuracies = {row["accuracy"] for row in rows}
-    if len(rows) != len(ALGORITHMS) or len(accuracies) != 1:
-        return [("benchmark", f"accuracies differ: {sorted(accuracies)}")]
-    return []
+    """The three reports must hold one row each, with the same accuracy bytes."""
+    failures = []
+    accuracies = {}
+    for alg in ALGORITHMS:
+        with open(work / f"report_{alg}.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        if len(rows) != 1:
+            failures.append((f"cv-{alg}", f"report holds {len(rows)} rows, not 1"))
+        accuracies[alg] = [row["accuracy"] for row in rows]
+    for alg in ALGORITHMS[1:]:
+        if accuracies[alg] != accuracies[ALGORITHMS[0]]:
+            failures.append((f"cv-{alg}", f"accuracy {accuracies[alg]} differs from"
+                                          f" {ALGORITHMS[0]}'s {accuracies[ALGORITHMS[0]]}"))
+    return failures
 
 
 def check_big_predict(work: Path) -> list[tuple[str, str]]:
@@ -176,13 +185,16 @@ def _common(seed: int, bootstraps: int, min_count: int = 5) -> tuple[str, ...]:
 
 def workloads(seed: int) -> dict[str, Workload]:
     """The workloads, with their commands bound to ``seed``."""
-    cv = Command(
-        name="benchmark",
-        argv=("benchmark", "--dataset", "cv.csv", "--folds", str(CV_FOLDS),
-              "--algorithms", ",".join(ALGORITHMS), "--jobs", "1", "--timing", "off",
-              *_common(seed, CV_BOOTSTRAPS), "--out", "report.csv"),
-        outputs=("report.csv", "report_plot.csv"),
-    )
+    cv = {
+        alg: Command(
+            name=f"cv-{alg}",
+            argv=("benchmark", "--dataset", "cv.csv", "--folds", str(CV_FOLDS),
+                  "--algorithms", alg, "--jobs", "1", "--timing", "off",
+                  *_common(seed, CV_BOOTSTRAPS), "--out", f"report_{alg}.csv"),
+            outputs=(f"report_{alg}.csv", f"report_{alg}_plot.csv"),
+        )
+        for alg in ALGORITHMS
+    }
     big = tuple(
         Command(
             name=f"predict-{alg}",
@@ -212,8 +224,12 @@ def workloads(seed: int) -> dict[str, Workload]:
             why="paper protocol: 10-fold CV of dt, lazy and batched on a hard 569x30"
                 " stand-in; small nodes, lazy paths, fold plan and CV merge at scale",
             generate=generate_paper_cv,
-            commands=(cv,),
+            commands=tuple(cv.values()),
             check=check_paper_cv,
+            # a lazy CV takes about ten times as long as a dt or batched one:
+            # dt and batched run twice per lazy run, so that their runs fall
+            # before, between and after the lazy runs
+            schedule=(*(cv["dt"], cv["batched"]) * 2, cv["lazy"]),
         ),
         "big-predict": Workload(
             name="big-predict",
@@ -222,6 +238,7 @@ def workloads(seed: int) -> dict[str, Workload]:
             generate=generate_big_predict,
             commands=big,
             check=check_big_predict,
+            schedule=big,
         ),
         "categorical-trace": Workload(
             name="categorical-trace",
@@ -230,5 +247,6 @@ def workloads(seed: int) -> dict[str, Workload]:
             generate=generate_categorical_trace,
             commands=cat,
             check=check_categorical_trace,
+            schedule=cat,
         ),
     }
