@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -78,15 +79,17 @@ def run_cv(
     """Run a full k-fold cross validation for one algorithm.
 
     Fold results merge in fold order whatever the execution order, so the
-    outcome does not depend on ``jobs``.
+    outcome does not depend on ``jobs``.  At most ``min(jobs, k, cpu count)``
+    worker processes run the folds; with one, they run in this process.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     tag, _ = ALGORITHMS[algorithm]
     plan = make_folds(data.n_rows, k, seed)
     tasks = [(data, plan, fold, algorithm, b, params, seed) for fold in range(k)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, k, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fold_task, tasks))
     else:
         outcomes = [run_fold(*task) for task in tasks]

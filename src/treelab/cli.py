@@ -61,17 +61,22 @@ def parse_fold_spec(spec: str, n_rows: int) -> list[int]:
                 start, stop, step = (int(part) for part in token.split(":"))
                 if step <= 0:
                     raise ValueError
+                # check the ends first, so a huge range fails before it is built
+                for k in (start, stop):
+                    _check_fold_count(k, n_rows)
                 folds.extend(range(start, stop + 1, step))
             else:
                 folds.append(int(token))
         except ValueError:
             raise CliError(f"bad fold spec {token!r}", EXIT_BAD_PARAMS) from None
     for k in folds:
-        if not 2 <= k <= n_rows:
-            raise CliError(
-                f"fold count {k} out of range [2, {n_rows}]", EXIT_BAD_PARAMS
-            )
+        _check_fold_count(k, n_rows)
     return folds
+
+
+def _check_fold_count(k: int, n_rows: int) -> None:
+    if not 2 <= k <= n_rows:
+        raise CliError(f"fold count {k} out of range [2, {n_rows}]", EXIT_BAD_PARAMS)
 
 
 def parse_algorithms(spec: str) -> list[str]:

@@ -6,6 +6,13 @@ subsets always produce identical splits.  Candidates are binary tests:
 consecutive distinct values) and ``value == code`` on categorical ones (one
 candidate per code present).  The score is Shannon information gain in bits;
 ties break to the lowest attribute index, then the lowest threshold or code.
+
+A search scores all attributes of a node together, in blocks of at most
+``BLOCK_CELLS`` rows x attributes: one sort per block, one count of classes
+per run of equal values, and one gain evaluation over every candidate of the
+block.  Only the per-run class counts and values are read, so whether the
+sort is stable does not matter, and the candidates, their gains and the
+tie-break are those of a search that takes one attribute at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +23,10 @@ from typing import Literal
 import numpy as np
 
 from .dataset import AttributeKind, Dataset
+
+# Cells (rows x attributes) sorted together in one block of a split search;
+# bounds the search's temporaries whatever the node size.
+BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,32 +78,34 @@ def _check_histogram(hist) -> np.ndarray:
     return counts
 
 
-def _entropy_of_rows(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy (bits) of each row of a ``(k, h)`` count matrix."""
+def _entropy_of_rows(counts: np.ndarray, totals) -> np.ndarray:
+    """Shannon entropy (bits) of each row of a ``(k, h)`` count matrix.
+
+    ``totals`` holds the row sums.  ``log2`` runs over the whole contiguous
+    array and zero counts are masked afterwards: ``log2(..., where=...)``
+    takes another loop, which can round differently and so change which
+    split wins a near tie.
+    """
     c = np.asarray(counts, dtype=np.float64)
-    totals = c.sum(axis=1, keepdims=True)
-    p = c / totals
-    terms = np.zeros_like(p)
-    mask = c > 0
-    terms[mask] = p[mask] * np.log2(p[mask])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = c / np.asarray(totals, dtype=np.float64)[:, None]
+        terms = np.where(c > 0, p * np.log2(p), 0.0)
     return -terms.sum(axis=1)
 
 
 def _gain_of_splits(
-    parent: np.ndarray,
+    parent_entropy: float,
+    n: int,
     invalid_counts: np.ndarray,
     valid_counts: np.ndarray,
-    parent_entropy: float | None = None,
+    n_invalid: np.ndarray,
+    n_valid: np.ndarray,
 ) -> np.ndarray:
-    """Information gain of each (invalid, valid) histogram pair."""
-    n = parent.sum()
-    if parent_entropy is None:
-        parent_entropy = _entropy_of_rows(parent[None, :])[0]
-    n_invalid = invalid_counts.sum(axis=1)
-    n_valid = valid_counts.sum(axis=1)
+    """Information gain of each (invalid, valid) histogram pair of ``n`` rows."""
     # one stacked entropy evaluation; rows are reduced independently, so the
     # values match separate per-side calls bit for bit
-    entropies = _entropy_of_rows(np.concatenate([invalid_counts, valid_counts]))
+    entropies = _entropy_of_rows(np.concatenate([invalid_counts, valid_counts]),
+                                 np.concatenate([n_invalid, n_valid]))
     k = invalid_counts.shape[0]
     children = (n_invalid / n) * entropies[:k] + (n_valid / n) * entropies[k:]
     return parent_entropy - children
@@ -101,7 +114,7 @@ def _gain_of_splits(
 def entropy(hist) -> float:
     """Shannon entropy of a class histogram, in bits."""
     counts = _check_histogram(hist)
-    return float(_entropy_of_rows(counts[None, :])[0])
+    return float(_entropy_of_rows(counts[None, :], [counts.sum()])[0])
 
 
 def information_gain(parent, invalid_side, valid_side) -> float:
@@ -113,7 +126,9 @@ def information_gain(parent, invalid_side, valid_side) -> float:
         raise ValueError("histograms must share the class axis")
     if not np.array_equal(invalid + valid, parent):
         raise ValueError("side histograms must sum to the parent")
-    return float(_gain_of_splits(parent, invalid[None, :], valid[None, :])[0])
+    gain = _gain_of_splits(entropy(parent), parent.sum(), invalid[None, :], valid[None, :],
+                           invalid.sum(keepdims=True), valid.sum(keepdims=True))
+    return float(gain[0])
 
 
 def majority_class(hist) -> int:
@@ -142,37 +157,6 @@ def partition(cond: Condition, data: Dataset, rows) -> tuple[np.ndarray, np.ndar
     return rows[~mask], rows[mask]
 
 
-def _numeric_candidates(column: np.ndarray, labels: np.ndarray, class_count: int):
-    """Valid-side histograms and thresholds of every boundary in one column."""
-    order = np.argsort(column, kind="stable")
-    sorted_values = column[order]
-    sorted_labels = labels[order]
-    boundaries = np.nonzero(sorted_values[:-1] != sorted_values[1:])[0]
-    if boundaries.size == 0:
-        return None
-    one_hot = np.zeros((column.size, class_count), dtype=np.int64)
-    one_hot[np.arange(column.size), sorted_labels] = 1
-    cumulative = np.cumsum(one_hot, axis=0)
-    valid_counts = cumulative[boundaries]
-    lows = sorted_values[boundaries]
-    highs = sorted_values[boundaries + 1]
-    thresholds = (lows + highs) / 2.0
-    # The midpoint of two adjacent doubles can round up onto the high value,
-    # which would move the high group to the valid side; pin it back.
-    thresholds = np.where(thresholds < highs, thresholds, lows)
-    return valid_counts, thresholds
-
-
-def _categorical_candidates(column: np.ndarray, labels: np.ndarray, class_count: int):
-    """Valid-side histograms and codes of every category present in a column."""
-    codes, inverse = np.unique(column, return_inverse=True)
-    if codes.size < 2:
-        return None
-    valid_counts = np.zeros((codes.size, class_count), dtype=np.int64)
-    np.add.at(valid_counts, (inverse, labels), 1)
-    return valid_counts, codes
-
-
 def best_condition(data: Dataset, rows) -> Condition | None:
     """The candidate condition with the highest information gain.
 
@@ -183,27 +167,66 @@ def best_condition(data: Dataset, rows) -> Condition | None:
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("best_condition needs at least one row")
+    n = rows.size
+    class_count = data.class_count
     labels = data.labels[rows]
-    parent = np.bincount(labels, minlength=data.class_count)
-    parent_entropy = _entropy_of_rows(parent[None, :])[0]
+    parent = np.bincount(labels, minlength=class_count)
+    parent_entropy = _entropy_of_rows(parent[None, :], [n])[0]
+    numeric = np.array([kind is AttributeKind.NUMERIC for kind in data.attr_kinds])
+    values = data.values[rows]
 
     best: Condition | None = None
     best_gain = 0.0
-    for attribute in range(data.n_attributes):
-        column = data.values[rows, attribute]
-        if data.attr_kinds[attribute] is AttributeKind.NUMERIC:
-            found = _numeric_candidates(column, labels, data.class_count)
-            op = "le"
-        else:
-            found = _categorical_candidates(column, labels, data.class_count)
-            op = "eq"
-        if found is None:
-            continue
-        valid_counts, values = found
-        gains = _gain_of_splits(parent, parent - valid_counts, valid_counts,
-                                parent_entropy)
+    width = max(1, BLOCK_CELLS // n)
+    for first in range(0, data.n_attributes, width):
+        # Row j of the block is attribute first + j; each row is sorted on
+        # its own, and runs of equal values in it form one group.
+        block = values[:, first:first + width].T
+        order = np.argsort(block, axis=1)
+        flat = np.take_along_axis(block, order, axis=1).ravel()
+        starts = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+        starts[::n] = True
+        group_start = np.flatnonzero(starts)
+        group_end = np.append(group_start[1:], flat.size)
+        groups = group_start.size
+        group = np.cumsum(starts) - 1
+        counts = np.bincount(group * class_count + labels[order].ravel(),
+                             minlength=groups * class_count).reshape(groups, class_count)
+        attr = group_start // n
+
+        # Numeric: the valid side of a group's threshold is every row of its
+        # attribute up to the group's end.  Each attribute's groups hold all
+        # n rows, so the running total restarts by subtracting attr * parent.
+        valid = np.cumsum(counts, axis=0) - attr[:, None] * parent
+        n_valid = group_end - attr * n
+        # Categorical: the valid side of ``value == code`` is the group.
+        categorical = ~numeric[first:first + width][attr]
+        if categorical.any():
+            valid[categorical] = counts[categorical]
+            n_valid[categorical] = (group_end - group_start)[categorical]
+        gains = _gain_of_splits(parent_entropy, n, parent - valid, valid,
+                                n - n_valid, n_valid)
+        # The last numeric group and a lone categorical group leave the
+        # invalid side empty and are not candidates.
+        gains[n_valid == n] = -np.inf
+
+        # Groups run in (attribute, value) order, so the first maximum is
+        # the tie-break winner; a later block must beat it strictly.
         pick = int(np.argmax(gains))
         if gains[pick] > best_gain:
             best_gain = float(gains[pick])
-            best = Condition(attribute=attribute, op=op, value=float(values[pick]))
+            attribute = first + int(attr[pick])
+            low = float(flat[group_start[pick]])
+            if categorical[pick]:
+                best = Condition(attribute=attribute, op="eq", value=low)
+            else:
+                high = float(flat[group_end[pick]])
+                threshold = (low + high) / 2.0
+                # The midpoint of two adjacent doubles can round up onto the
+                # high value, which would move the high group to the valid
+                # side; pin it back.
+                if not threshold < high:
+                    threshold = low
+                best = Condition(attribute=attribute, op="le", value=threshold)
     return best

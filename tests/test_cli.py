@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from treelab import SplitParams, bench, load_csv, run_cv
 from treelab.cli import (
     EXIT_BAD_PARAMS,
     EXIT_DATASET_ERROR,
@@ -107,6 +109,26 @@ class TestFoldSpec:
         with pytest.raises(CliError):
             parse_fold_spec("ten", 100)
 
+    def test_range_ends_checked(self):
+        with pytest.raises(CliError, match="fold count 1 "):
+            parse_fold_spec("1:10:1", 100)
+        with pytest.raises(CliError, match="fold count 101 "):
+            parse_fold_spec("2:101:50", 100)
+
+    def test_huge_range_fails_before_it_is_built(self, toy_csv, tmp_path):
+        # Run in a child capped at 1 GiB of address space: building the
+        # billion-element list would end in MemoryError (exit 1), not 11.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelab", "benchmark", "--dataset", str(toy_csv),
+             "--folds", "2:1000000000:1", "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == EXIT_BAD_PARAMS, proc.stderr
+        assert "fold count 1000000000 out of range" in proc.stderr
+
 
 class TestBenchmark:
     def test_writes_rows_and_identical_accuracy(self, toy_csv, tmp_path):
@@ -204,6 +226,36 @@ class TestBenchmark:
         assert main(base + ["--out", str(out_serial)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(out_parallel)]) == 0
         assert out_serial.read_bytes() == out_parallel.read_bytes()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 2, 2), (64, 8, 3), (2, 8, 2), (8, 1, None), (1, 8, None),
+    ])
+    def test_jobs_clamped_to_folds_and_cpus(self, toy_csv, monkeypatch, jobs, cpus, workers):
+        # A stand-in pool records its size and runs the folds in this process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        data = load_csv(toy_csv)
+        params = SplitParams(min_count=2)
+        serial = run_cv(data, "batched", 3, 1, params, seed=4)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        result = run_cv(data, "batched", 3, 1, params, seed=4, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert result.accuracy == serial.accuracy
+        assert result.metrics.nodes_explored == serial.metrics.nodes_explored
 
     def test_env_seed_overrides_flag(self, toy_csv, tmp_path, monkeypatch):
         out_env = tmp_path / "env.csv"

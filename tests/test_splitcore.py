@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import dataset_from_arrays, random_dataset
+from conftest import dataset_from_arrays, gaussian_dataset, random_dataset
 from treelab import (
     Condition,
     SplitParams,
@@ -17,6 +17,8 @@ from treelab import (
     majority_class,
     partition,
 )
+from treelab.dataset import AttributeKind
+from treelab.splitcore import BLOCK_CELLS
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
 ENTROPY_3_1 = 0.8112781244591328
@@ -174,6 +176,18 @@ class TestBestCondition:
         cond = best_condition(data, [0, 1, 2, 3])
         assert cond.value == 1.5
 
+    def test_midpoint_rounding_onto_high_value_pins_to_low(self):
+        # The midpoint of these adjacent doubles rounds up to the high value;
+        # the threshold falls back to the low one so the high row stays invalid.
+        low = float(np.nextafter(1.0, 2.0))
+        high = float(np.nextafter(low, 2.0))
+        assert (low + high) / 2.0 == high
+        data = dataset_from_arrays([[low], [high]], [0, 1])
+        cond = best_condition(data, [0, 1])
+        assert cond == Condition(attribute=0, op="le", value=low)
+        invalid, valid = partition(cond, data, [0, 1])
+        assert invalid.tolist() == [1] and valid.tolist() == [0]
+
     def test_empty_rows_rejected(self, toy4):
         with pytest.raises(ValueError):
             best_condition(toy4, [])
@@ -201,6 +215,56 @@ class TestBestCondition:
                 assert oracles.gain_of(data, rows, got) == pytest.approx(
                     want_gain, abs=1e-9
                 )
+
+    def test_matches_bruteforce_across_attribute_blocks(self):
+        # 40 attributes at 200-2 000 rows split into 2-20 blocks; a small
+        # value grid keeps the brute force cheap.
+        rng = np.random.default_rng(4040)
+        for trial, n in enumerate((200, 450, 900, 2000)):
+            assert BLOCK_CELLS // n < 40
+            data = random_dataset(rng, n, 32, 8, int(rng.integers(2, 4)), value_grid=3)
+            rows = rng.integers(0, n, size=n)
+            got = best_condition(data, rows)
+            want, want_gain = oracles.brute_best_condition(data, rows)
+            assert got == want, f"trial {trial}: {got} != {want}"
+            if got is not None:
+                assert oracles.gain_of(data, rows, got) == pytest.approx(
+                    want_gain, abs=1e-9
+                )
+
+    def test_tie_across_blocks_breaks_to_first_attribute(self):
+        # Attribute 0 and attribute 39 are the same column and the best one;
+        # they fall in different blocks, and the earlier attribute wins.
+        rng = np.random.default_rng(39)
+        n = 200
+        assert 0 // (BLOCK_CELLS // n) != 39 // (BLOCK_CELLS // n)
+        labels = rng.integers(0, 2, size=n)
+        best_column = labels * 4 + rng.integers(0, 3, size=n)
+        columns = [labels + rng.integers(0, 4, size=n) for _ in range(40)]
+        columns[0] = columns[39] = best_column
+        data = dataset_from_arrays(np.column_stack(columns), labels)
+        rows = np.arange(n)
+        cond = best_condition(data, rows)
+        assert cond.attribute == 0
+        assert cond == oracles.brute_best_condition(data, rows)[0]
+
+    def test_matches_per_attribute_search(self):
+        # A search one attribute at a time, in the same float arithmetic,
+        # picks the same condition, threshold bits included.
+        rng = np.random.default_rng(2718)
+        for trial in range(120):
+            n = int(rng.integers(2, 3000 if trial % 10 == 0 else 400))
+            if trial % 3 == 0:
+                data = gaussian_dataset(rng, n, 30, int(rng.integers(2, 5)), spread=0.3)
+            else:
+                data = random_dataset(
+                    rng, n, int(rng.integers(1, 30)), int(rng.integers(0, 10)),
+                    int(rng.integers(2, 12)), value_grid=int(rng.integers(2, 40)),
+                )
+            rows = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+            got = best_condition(data, rows)
+            want = per_attribute_best_condition(data, rows)
+            assert repr(got) == repr(want), f"trial {trial}"
 
     def test_returned_condition_dominates_every_candidate(self):
         rng = np.random.default_rng(777)
@@ -231,6 +295,59 @@ class TestBestCondition:
         data = random_dataset(rng, 30, 3, 2, 3)
         rows = np.arange(30)
         assert best_condition(data, rows) == best_condition(data, rows)
+
+
+def _entropies(counts):
+    c = counts.astype(np.float64)
+    p = c / c.sum(axis=1, keepdims=True)
+    terms = np.zeros_like(p)
+    mask = c > 0
+    terms[mask] = p[mask] * np.log2(p[mask])
+    return -terms.sum(axis=1)
+
+
+def per_attribute_best_condition(data, rows):
+    """Reference split search: one stable sort and one gain vector per attribute."""
+    rows = np.asarray(rows, dtype=np.int64)
+    labels = data.labels[rows]
+    h = data.class_count
+    parent = np.bincount(labels, minlength=h)
+    parent_entropy = _entropies(parent[None, :])[0]
+    n = rows.size
+    best, best_gain = None, 0.0
+    for attribute in range(data.n_attributes):
+        column = data.values[rows, attribute]
+        if data.attr_kinds[attribute] is AttributeKind.NUMERIC:
+            order = np.argsort(column, kind="stable")
+            ordered = column[order]
+            bounds = np.nonzero(ordered[:-1] != ordered[1:])[0]
+            one_hot = np.zeros((n, h), dtype=np.int64)
+            one_hot[np.arange(n), labels[order]] = 1
+            valid = np.cumsum(one_hot, axis=0)[bounds]
+            lows, highs = ordered[bounds], ordered[bounds + 1]
+            midpoints = (lows + highs) / 2.0
+            values = np.where(midpoints < highs, midpoints, lows)
+            op = "le"
+        else:
+            values, inverse = np.unique(column, return_inverse=True)
+            if values.size < 2:
+                continue
+            valid = np.zeros((values.size, h), dtype=np.int64)
+            np.add.at(valid, (inverse, labels), 1)
+            op = "eq"
+        if values.size == 0:
+            continue
+        invalid = parent - valid
+        k = valid.shape[0]
+        sides = _entropies(np.concatenate([invalid, valid]))
+        gains = parent_entropy - (
+            (invalid.sum(axis=1) / n) * sides[:k] + (valid.sum(axis=1) / n) * sides[k:]
+        )
+        pick = int(np.argmax(gains))
+        if gains[pick] > best_gain:
+            best_gain = gains[pick]
+            best = Condition(attribute=attribute, op=op, value=float(values[pick]))
+    return best
 
 
 class TestSplitParams:
