@@ -119,14 +119,6 @@ def _write_csv(path, header, rows) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_OUTPUT_ERROR) from exc
 
 
-def _write_text(path, lines) -> None:
-    try:
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_OUTPUT_ERROR) from exc
-
-
 def plot_path(out: Path) -> Path:
     return out.with_name(out.stem + "_plot" + (out.suffix or ".csv"))
 
@@ -189,18 +181,32 @@ def cmd_trace(args) -> int:
     params = make_params(args)
     seed = resolve_seed(args.seed)
     _, fit = ALGORITHMS[args.algorithm]
-    events = []
-    fit(
-        train, train.all_rows(), test_matrix, args.bootstraps, params, seed,
-        on_visit=events.append,
-    )
-    if len(events) > TRACE_LINE_LIMIT and not args.force:
-        raise CliError(
-            f"trace would hold {len(events)} lines (> {TRACE_LINE_LIMIT});"
-            " pass --force to write it anyway",
-            EXIT_TRACE_GUARDRAIL,
-        )
-    _write_text(Path(args.out), [TRACE_HEADER] + [format_trace_line(e) for e in events])
+    lines = 0
+
+    def write_line(event) -> None:
+        nonlocal lines
+        lines += 1
+        if lines > TRACE_LINE_LIMIT and not args.force:
+            raise CliError(
+                f"trace exceeds {TRACE_LINE_LIMIT} lines; pass --force to write it anyway",
+                EXIT_TRACE_GUARDRAIL,
+            )
+        handle.write(format_trace_line(event) + "\n")
+
+    # Lines go to a file next to --out that replaces it only on success.
+    out = Path(args.out)
+    temp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w") as handle:
+            handle.write(TRACE_HEADER + "\n")
+            fit(
+                train, train.all_rows(), test_matrix, args.bootstraps, params, seed,
+                on_visit=write_line,
+            )
+        os.replace(temp, out)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return 0
 
 

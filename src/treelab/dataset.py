@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, draws_below
 
 MISSING_CELLS = frozenset({"", "?"})
 
@@ -316,7 +316,4 @@ def bootstrap(train_indices, seed: int) -> BootstrapSample:
     idx = np.asarray(train_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("cannot bootstrap an empty training set")
-    rng = SplitMix64(seed)
-    n = idx.size
-    picks = np.fromiter((idx[rng.below(n)] for _ in range(n)), dtype=np.int64, count=n)
-    return BootstrapSample(row_indices=picks)
+    return BootstrapSample(row_indices=idx[draws_below(seed, idx.size, idx.size)])

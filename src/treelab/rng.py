@@ -10,6 +10,8 @@ algorithms consume identical bootstrap samples.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # 2**64 / golden ratio
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -26,6 +28,23 @@ def _finalize(z: int) -> int:
 def mix_seed(base_seed: int, index: int) -> int:
     """Seed of sub-stream ``index`` of the stream rooted at ``base_seed``."""
     return _finalize((base_seed + (index + 1) * _GAMMA) & _MASK64)
+
+
+def draws_below(seed: int, count: int, n: int) -> np.ndarray:
+    """The first ``count`` values of ``SplitMix64(seed).below(n)``, as an array.
+
+    Draw ``i`` (from 1) finalizes state ``seed + i * GAMMA``; the same
+    arithmetic runs on ``uint64`` arrays, where it wraps modulo 2**64.
+    """
+    if n <= 0:
+        raise ValueError("bound must be positive")
+    with np.errstate(over="ignore"):
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(seed & _MASK64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+    return z % np.uint64(n)
 
 
 class SplitMix64:

@@ -13,6 +13,13 @@ per run of equal values, and one gain evaluation over every candidate of the
 block.  Only the per-run class counts and values are read, so whether the
 sort is stable does not matter, and the candidates, their gains and the
 tie-break are those of a search that takes one attribute at a time.
+
+Class counts are class-major, a ``(classes, groups)`` array, so every step of
+the gain pass runs over long contiguous rows.  The entropy's sum over classes
+adds whole class rows in a fixed order, the one in which numpy 2.x sums a
+contiguous row of doubles (:func:`_class_sum`): the gains equal those of a
+per-group ``sum(axis=1)`` bit for bit, and the order is pinned here rather
+than left to numpy.
 """
 
 from __future__ import annotations
@@ -78,43 +85,78 @@ def _check_histogram(hist) -> np.ndarray:
     return counts
 
 
-def _entropy_of_rows(counts: np.ndarray, totals) -> np.ndarray:
-    """Shannon entropy (bits) of each row of a ``(k, h)`` count matrix.
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the class rows of a ``(classes, k)`` array, per column.
 
-    ``totals`` holds the row sums.  ``log2`` runs over the whole contiguous
+    Whole rows are added in the order in which numpy 2.x's ``add.reduce``
+    sums one contiguous row of doubles, so the result equals
+    ``terms.T.sum(axis=1)`` bit for bit while every add runs over ``k``
+    contiguous values.  Fewer than 8 rows: left to right from 0.0.  Up to 128
+    rows: 8 running sums, combined pairwise, then the remaining rows in
+    order.  Above that: the sum of two halves, the first a multiple of 8 rows
+    long.  numpy adds its sum to the identity 0.0, which only turns a zero
+    sum positive, so adding 0.0 to each partial sum gives the same result.
+    """
+    count = terms.shape[0]
+    if count < 8:
+        total = terms[0] + 0.0
+        for row in terms[1:]:
+            total += row
+        return total
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _class_sum(terms[:half]) + _class_sum(terms[half:])
+    acc = terms[:8]
+    end = count - count % 8
+    for first in range(8, end, 8):
+        acc = acc + terms[first:first + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in terms[end:]:
+        total += row
+    total += 0.0
+    return total
+
+
+def _entropies(counts: np.ndarray, totals) -> np.ndarray:
+    """Shannon entropy (bits) of each column of a ``(classes, k)`` count matrix.
+
+    ``totals`` holds the column sums.  ``log2`` runs over the whole contiguous
     array and zero counts are masked afterwards: ``log2(..., where=...)``
     takes another loop, which can round differently and so change which
     split wins a near tie.
     """
-    c = np.asarray(counts, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = c / np.asarray(totals, dtype=np.float64)[:, None]
-        terms = np.where(c > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=1)
+        p = counts / np.asarray(totals, dtype=np.float64)
+        terms = np.log2(p)
+        terms *= p
+    np.copyto(terms, 0.0, where=counts == 0)
+    return -_class_sum(terms)
 
 
-def _gain_of_splits(
-    parent_entropy: float,
-    n: int,
-    invalid_counts: np.ndarray,
-    valid_counts: np.ndarray,
-    n_invalid: np.ndarray,
-    n_valid: np.ndarray,
-) -> np.ndarray:
-    """Information gain of each (invalid, valid) histogram pair of ``n`` rows."""
-    # one stacked entropy evaluation; rows are reduced independently, so the
-    # values match separate per-side calls bit for bit
-    entropies = _entropy_of_rows(np.concatenate([invalid_counts, valid_counts]),
-                                 np.concatenate([n_invalid, n_valid]))
-    k = invalid_counts.shape[0]
-    children = (n_invalid / n) * entropies[:k] + (n_valid / n) * entropies[k:]
-    return parent_entropy - children
+def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
+           n_valid: np.ndarray) -> np.ndarray:
+    """Information gain of each column of a ``(classes, k)`` valid-side matrix.
+
+    ``parent`` is the class histogram of all rows, ``parent_entropy`` its
+    entropy and ``n_valid`` the column sums of ``valid``; the invalid side
+    is the rest of the parent.
+    """
+    n = parent.sum()
+    n_invalid = n - n_valid
+    # Both sides in one entropy pass, invalid columns first; columns are
+    # reduced independently.
+    k = n_valid.size
+    sides = np.empty((parent.size, 2 * k))
+    np.subtract(parent[:, None], valid, out=sides[:, :k])
+    sides[:, k:] = valid
+    entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
+    return parent_entropy - ((n_invalid / n) * entropies[:k] + (n_valid / n) * entropies[k:])
 
 
 def entropy(hist) -> float:
     """Shannon entropy of a class histogram, in bits."""
     counts = _check_histogram(hist)
-    return float(_entropy_of_rows(counts[None, :], [counts.sum()])[0])
+    return float(_entropies(counts[:, None], [counts.sum()])[0])
 
 
 def information_gain(parent, invalid_side, valid_side) -> float:
@@ -126,8 +168,7 @@ def information_gain(parent, invalid_side, valid_side) -> float:
         raise ValueError("histograms must share the class axis")
     if not np.array_equal(invalid + valid, parent):
         raise ValueError("side histograms must sum to the parent")
-    gain = _gain_of_splits(entropy(parent), parent.sum(), invalid[None, :], valid[None, :],
-                           invalid.sum(keepdims=True), valid.sum(keepdims=True))
+    gain = _gains(entropy(parent), parent, valid[:, None], valid.sum(keepdims=True))
     return float(gain[0])
 
 
@@ -171,9 +212,10 @@ def best_condition(data: Dataset, rows) -> Condition | None:
     class_count = data.class_count
     labels = data.labels[rows]
     parent = np.bincount(labels, minlength=class_count)
-    parent_entropy = _entropy_of_rows(parent[None, :], [n])[0]
+    parent_entropy = _entropies(parent[:, None], [n])[0]
     numeric = np.array([kind is AttributeKind.NUMERIC for kind in data.attr_kinds])
-    values = data.values[rows]
+    # Row j holds attribute j, so every block below is one contiguous slice.
+    columns = np.ascontiguousarray(data.values[rows].T)
 
     best: Condition | None = None
     best_gain = 0.0
@@ -181,9 +223,11 @@ def best_condition(data: Dataset, rows) -> Condition | None:
     for first in range(0, data.n_attributes, width):
         # Row j of the block is attribute first + j; each row is sorted on
         # its own, and runs of equal values in it form one group.
-        block = values[:, first:first + width].T
+        block = columns[first:first + width]
         order = np.argsort(block, axis=1)
-        flat = np.take_along_axis(block, order, axis=1).ravel()
+        sorted_labels = labels[order].ravel()
+        order += np.arange(0, block.size, n)[:, None]
+        flat = block.ravel()[order].ravel()
         starts = np.empty(flat.size, dtype=bool)
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
         starts[::n] = True
@@ -191,22 +235,22 @@ def best_condition(data: Dataset, rows) -> Condition | None:
         group_end = np.append(group_start[1:], flat.size)
         groups = group_start.size
         group = np.cumsum(starts) - 1
-        counts = np.bincount(group * class_count + labels[order].ravel(),
-                             minlength=groups * class_count).reshape(groups, class_count)
+        # Class-major counts: row c holds class c's count in every group.
+        counts = np.bincount(sorted_labels * groups + group,
+                             minlength=class_count * groups).reshape(class_count, groups)
         attr = group_start // n
 
         # Numeric: the valid side of a group's threshold is every row of its
         # attribute up to the group's end.  Each attribute's groups hold all
         # n rows, so the running total restarts by subtracting attr * parent.
-        valid = np.cumsum(counts, axis=0) - attr[:, None] * parent
+        valid = np.cumsum(counts, axis=1) - parent[:, None] * attr
         n_valid = group_end - attr * n
         # Categorical: the valid side of ``value == code`` is the group.
-        categorical = ~numeric[first:first + width][attr]
-        if categorical.any():
-            valid[categorical] = counts[categorical]
-            n_valid[categorical] = (group_end - group_start)[categorical]
-        gains = _gain_of_splits(parent_entropy, n, parent - valid, valid,
-                                n - n_valid, n_valid)
+        if not numeric[first:first + width].all():
+            categorical = ~numeric[first + attr]
+            valid = np.where(categorical, counts, valid)
+            n_valid = np.where(categorical, group_end - group_start, n_valid)
+        gains = _gains(parent_entropy, parent, valid, n_valid)
         # The last numeric group and a lone categorical group leave the
         # invalid side empty and are not candidates.
         gains[n_valid == n] = -np.inf
@@ -218,7 +262,7 @@ def best_condition(data: Dataset, rows) -> Condition | None:
             best_gain = float(gains[pick])
             attribute = first + int(attr[pick])
             low = float(flat[group_start[pick]])
-            if categorical[pick]:
+            if not numeric[attribute]:
                 best = Condition(attribute=attribute, op="eq", value=low)
             else:
                 high = float(flat[group_end[pick]])

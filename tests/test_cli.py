@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from treelab import SplitParams, bench, load_csv, run_cv
+from treelab import SplitParams, bench, cli, load_csv, run_cv
 from treelab.cli import (
     EXIT_BAD_PARAMS,
     EXIT_DATASET_ERROR,
@@ -397,6 +397,42 @@ class TestTrace:
         assert not out.exists()
         assert main(args + ["--force"]) == 0
         assert out.exists()
+
+    def test_guardrail_stops_the_fit_at_the_limit(self, train_test_csvs, tmp_path,
+                                                  monkeypatch):
+        train, test = train_test_csvs
+        limit = 5
+        monkeypatch.setattr(cli, "TRACE_LINE_LIMIT", limit)
+        tag, fit = cli.ALGORITHMS["lazy"]
+        visits = []
+
+        def counting_fit(*args, on_visit, **kwargs):
+            def count(event):
+                visits.append(event)
+                on_visit(event)
+            return fit(*args, on_visit=count, **kwargs)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "lazy", (tag, counting_fit))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "trace.txt"
+        args = [
+            "trace", "--train", str(train), "--test", str(test),
+            "--algorithm", "lazy", "--min-count", "2", "--seed", "2",
+            "--out", str(out),
+        ]
+        assert main(args) == EXIT_TRACE_GUARDRAIL
+        assert len(visits) == limit + 1
+        assert list(out_dir.iterdir()) == []
+        # an existing output is left as it was
+        out.write_text("previous\n")
+        assert main(args) == EXIT_TRACE_GUARDRAIL
+        assert out.read_text() == "previous\n"
+        assert list(out_dir.iterdir()) == [out]
+        # --force writes every line, header included
+        visits.clear()
+        assert main(args + ["--force"]) == 0
+        assert len(out.read_text().splitlines()) == len(visits) + 1 > limit + 1
 
 
 def test_module_entry_point(toy_csv, tmp_path):

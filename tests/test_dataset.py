@@ -10,6 +10,7 @@ from treelab import (
     load_csv,
     make_folds,
 )
+from treelab.rng import SplitMix64
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -146,6 +147,15 @@ class TestBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bootstrap([], seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 7, 512, 18_000])
+    def test_matches_scalar_stream(self, seed, n):
+        # the vectorised draw is the stream of SplitMix64(seed).below(n)
+        indices = np.arange(5, 5 + n) * 3
+        rng = SplitMix64(seed)
+        want = [int(indices[rng.below(n)]) for _ in range(n)]
+        assert bootstrap(indices, seed).row_indices.tolist() == want
 
     @given(
         n=st.integers(1, 300),

@@ -18,7 +18,7 @@ from treelab import (
     partition,
 )
 from treelab.dataset import AttributeKind
-from treelab.splitcore import BLOCK_CELLS
+from treelab.splitcore import BLOCK_CELLS, _class_sum
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
 ENTROPY_3_1 = 0.8112781244591328
@@ -55,6 +55,24 @@ class TestEntropy:
         value = entropy(counts)
         assert -1e-12 <= value <= math.log2(len(counts)) + 1e-12
         assert value == pytest.approx(oracles.entropy_counts(counts), abs=1e-12)
+
+
+class TestClassSum:
+    @pytest.mark.parametrize(
+        "classes", [*range(2, 41), *range(120, 141), *range(255, 301)]
+    )
+    def test_matches_numpy_row_sum(self, classes):
+        # every branch of the pinned order: left to right, 8 accumulators,
+        # and halves split at a multiple of 8
+        rng = np.random.default_rng(classes)
+        rows = rng.standard_normal((64, classes)) * 10.0 ** rng.integers(
+            -8, 9, size=(64, classes))
+        # zero sums: all negative zeros, and positive and negative zeros mixed
+        rows[0] = -0.0
+        rows[1] = np.where(rng.random(classes) < 0.5, 0.0, -0.0)
+        got = _class_sum(np.ascontiguousarray(rows.T))
+        want = np.add.reduce(rows, axis=1)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestInformationGain:
@@ -265,6 +283,19 @@ class TestBestCondition:
             got = best_condition(data, rows)
             want = per_attribute_best_condition(data, rows)
             assert repr(got) == repr(want), f"trial {trial}"
+        # 16-40 classes run more than one round of the class sum's
+        # 8-accumulator loop
+        rng = np.random.default_rng(1618)
+        for trial in range(30):
+            n = int(rng.integers(40, 600))
+            data = random_dataset(
+                rng, n, int(rng.integers(1, 20)), int(rng.integers(0, 6)),
+                int(rng.integers(16, 41)), value_grid=int(rng.integers(2, 40)),
+            )
+            rows = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+            got = best_condition(data, rows)
+            want = per_attribute_best_condition(data, rows)
+            assert repr(got) == repr(want), f"wide trial {trial}"
 
     def test_returned_condition_dominates_every_candidate(self):
         rng = np.random.default_rng(777)
