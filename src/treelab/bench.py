@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +88,10 @@ def run_cv(
     tasks = [(data, plan, fold, algorithm, b, params, seed) for fold in range(k)]
     workers = min(jobs, k, os.cpu_count() or 1)
     if workers > 1:
+        # Imported only for a pool: these modules take tens of milliseconds
+        # to import, which every serial run would otherwise pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fold_task, tasks))
     else:

@@ -4,9 +4,11 @@ Dataset layout: the last CSV column holds class labels, every other column
 is an attribute.  A column is numeric when each of its cells parses as a
 finite number, categorical otherwise; categorical values (and the labels)
 are stored as dense integer codes assigned in first-appearance order, with
-the decoding tables kept on the dataset.  Cells equal to ``?`` or empty mark
-missing values; the only supported policy drops such rows before anything
-else is inferred.
+the decoding tables kept on the dataset.  Cells are stripped of surrounding
+whitespace; cells equal to ``?`` or empty mark missing values, and rows
+holding one are dropped before anything else is inferred.  The loader reads
+the rows once and then each column straight out of them, one pass per
+column.
 
 All structures here are immutable after construction and safe to share
 across threads; the three operations are pure functions of their inputs,
@@ -16,14 +18,14 @@ including the seed.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .rng import SplitMix64, draws_below
+from .rng import draws_below
 
 MISSING_CELLS = frozenset({"", "?"})
 
@@ -48,6 +50,8 @@ class Dataset:
     ``values`` is an ``(n_rows, n_attributes)`` float matrix; categorical
     cells hold their integer code (exact in float64).  ``categories[j]`` is
     the decoding table of attribute ``j``, or ``None`` for numeric columns.
+    ``numeric`` is derived from ``attr_kinds``: a read-only bool mask that
+    is true for the numeric attributes.
     """
 
     name: str
@@ -58,6 +62,7 @@ class Dataset:
     class_names: tuple[str, ...]
     categories: tuple[tuple[str, ...] | None, ...]
     label_name: str = "label"
+    numeric: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -79,8 +84,11 @@ class Dataset:
             raise DatasetError("need at least 2 distinct classes")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise DatasetError("label codes out of range")
+        numeric = np.array([kind is AttributeKind.NUMERIC for kind in self.attr_kinds])
+        object.__setattr__(self, "numeric", numeric)
         values.setflags(write=False)
         labels.setflags(write=False)
+        numeric.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
@@ -130,95 +138,83 @@ class BootstrapSample:
         idx.setflags(write=False)
 
 
-def _parse_number(cell: str) -> float | None:
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+def _read_rows(
+    path, has_header: bool
+) -> tuple[tuple[str, ...] | None, int, list[tuple[str, ...]]]:
+    """The header row (``None`` without one), the row width and the data rows.
 
-
-def _read_rows(path) -> list[list[str]]:
+    Cells are stripped, and data rows holding a missing cell are dropped.
+    """
     try:
         with open(path, newline="") as handle:
-            rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
-    except OSError as exc:
+            rows = [tuple(map(str.strip, row)) for row in csv.reader(handle) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row]
     if not rows:
         raise DatasetError(f"{path}: file holds no rows")
     width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DatasetError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-    return rows
+    for i, row_width in enumerate(map(len, rows)):
+        if row_width != width:
+            raise DatasetError(f"{path}: row {i} has {row_width} cells, expected {width}")
+    header, data_rows = (rows[0], rows[1:]) if has_header else (None, rows)
+    return header, width, [row for row in data_rows if MISSING_CELLS.isdisjoint(row)]
 
 
-def _split_header(rows: list[list[str]], has_header: bool):
-    if has_header:
-        return rows[0], rows[1:]
-    return None, rows
+def _parse_numbers(cells, count: int) -> np.ndarray | None:
+    """``count`` cells as float64, or ``None`` unless each is a finite number.
+
+    ``float`` decides what a number is, so underscores and Unicode digits
+    mean what they mean to Python.
+    """
+    try:
+        column = np.fromiter(map(float, cells), dtype=np.float64, count=count)
+    except ValueError:
+        return None
+    return column if np.isfinite(column).all() else None
 
 
-def _drop_missing(rows: list[list[str]]) -> list[list[str]]:
-    return [row for row in rows if all(cell not in MISSING_CELLS for cell in row)]
-
-
-def _encode_category(cells: list[str]) -> tuple[list[int], tuple[str, ...]]:
+def _encode_category(cells) -> tuple[list[int], tuple[str, ...]]:
     codes: dict[str, int] = {}
-    encoded = []
-    for cell in cells:
-        if cell not in codes:
-            codes[cell] = len(codes)
-        encoded.append(codes[cell])
+    encoded = [codes.setdefault(cell, len(codes)) for cell in cells]
     return encoded, tuple(codes)
 
 
-def load_csv(
-    path,
-    *,
-    has_header: bool = True,
-    missing_policy: str = "drop_row",
-    name: str | None = None,
-) -> Dataset:
+def load_csv(path, *, has_header: bool = True, name: str | None = None) -> Dataset:
     """Load a comma-separated dataset.
 
     The last column always holds the class labels and is treated as
     categorical.  Attribute columns are numeric when every cell parses as a
-    finite number.  Rows containing ``?`` or empty cells are dropped under
-    the ``drop_row`` policy (the only one supported).
+    finite number.  Rows containing ``?`` or empty cells are dropped.
     """
-    if missing_policy != "drop_row":
-        raise ValueError(f"unsupported missing policy: {missing_policy!r}")
-    rows = _read_rows(path)
-    header, data_rows = _split_header(rows, has_header)
-    if len(rows[0]) < 2:
+    header, width, rows = _read_rows(path, has_header)
+    if width < 2:
         raise DatasetError(f"{path}: need at least 2 columns (attributes + label)")
-    kept = _drop_missing(data_rows)
-    if not kept:
+    if not rows:
         raise DatasetError(f"{path}: no data rows left after dropping missing values")
 
-    m = len(kept[0]) - 1
-    attr_names = tuple(header[:m]) if header else tuple(f"a{j}" for j in range(m))
+    m = width - 1
+    attr_names = header[:m] if header else tuple(f"a{j}" for j in range(m))
     label_name = header[m] if header else "label"
 
-    columns = np.empty((len(kept), m), dtype=np.float64)
+    # Each column is read straight out of the rows, one pass per use, so
+    # the cells are never held a second time as columns.
+    values = np.empty((len(rows), m), dtype=np.float64)
     kinds = []
     categories: list[tuple[str, ...] | None] = []
     for j in range(m):
-        cells = [row[j] for row in kept]
-        parsed = [_parse_number(cell) for cell in cells]
-        if all(value is not None for value in parsed):
+        pick = itemgetter(j)
+        column = _parse_numbers(map(pick, rows), len(rows))
+        if column is not None:
             kinds.append(AttributeKind.NUMERIC)
             categories.append(None)
-            columns[:, j] = parsed
+            values[:, j] = column
         else:
             kinds.append(AttributeKind.CATEGORICAL)
-            encoded, table = _encode_category(cells)
+            encoded, table = _encode_category(map(pick, rows))
             categories.append(table)
-            columns[:, j] = encoded
+            values[:, j] = encoded
 
-    label_codes, class_names = _encode_category([row[m] for row in kept])
+    label_codes, class_names = _encode_category(map(itemgetter(m), rows))
     if len(class_names) < 2:
         raise DatasetError(f"{path}: need at least 2 distinct classes")
 
@@ -226,7 +222,7 @@ def load_csv(
         name=name if name is not None else Path(path).stem,
         attr_names=attr_names,
         attr_kinds=tuple(kinds),
-        values=columns,
+        values=values,
         labels=np.asarray(label_codes, dtype=np.int64),
         class_names=class_names,
         categories=tuple(categories),
@@ -243,38 +239,35 @@ def load_prediction_rows(train: Dataset, path, *, has_header: bool = True) -> np
     missing cells are dropped; a non-numeric cell in a numeric column is a
     schema mismatch.
     """
-    rows = _read_rows(path)
-    header, data_rows = _split_header(rows, has_header)
+    header, width, rows = _read_rows(path, has_header)
     m = train.n_attributes
-    width = len(rows[0])
     if width not in (m, m + 1):
         raise SchemaMismatchError(
             f"{path}: expected {m} or {m + 1} columns, found {width}"
         )
     if header is not None:
         expected = train.attr_names + ((train.label_name,) if width == m + 1 else ())
-        if tuple(header) != expected:
+        if header != expected:
             raise SchemaMismatchError(
-                f"{path}: header {tuple(header)!r} does not match training columns"
+                f"{path}: header {header!r} does not match training columns"
             )
-    kept = [row[:m] for row in _drop_missing(data_rows)]
 
-    matrix = np.empty((len(kept), m), dtype=np.float64)
+    matrix = np.empty((len(rows), m), dtype=np.float64)
     for j in range(m):
-        cells = [row[j] for row in kept]
+        pick = itemgetter(j)
         if train.attr_kinds[j] is AttributeKind.NUMERIC:
-            for i, cell in enumerate(cells):
-                value = _parse_number(cell)
-                if value is None:
-                    raise SchemaMismatchError(
-                        f"{path}: non-numeric cell {cell!r} in numeric column"
-                        f" {train.attr_names[j]!r}"
-                    )
-                matrix[i, j] = value
+            column = _parse_numbers(map(pick, rows), len(rows))
+            if column is None:
+                cells = map(pick, rows)
+                bad = next(cell for cell in cells if _parse_numbers((cell,), 1) is None)
+                raise SchemaMismatchError(
+                    f"{path}: non-numeric cell {bad!r} in numeric column"
+                    f" {train.attr_names[j]!r}"
+                )
+            matrix[:, j] = column
         else:
             table = {category: code for code, category in enumerate(train.categories[j])}
-            for i, cell in enumerate(cells):
-                matrix[i, j] = table.get(cell, -1)
+            matrix[:, j] = [table.get(cell, -1) for cell in map(pick, rows)]
     return matrix
 
 
@@ -300,14 +293,13 @@ def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
     """
     if not 2 <= k <= n_rows:
         raise ValueError(f"fold count {k} out of range [2, {n_rows}]")
+    # Swap i takes draw n_rows - i of the stream, reduced below i + 1.
+    draws = draws_below(seed, n_rows - 1, np.arange(n_rows, 1, -1)).tolist()
     order = list(range(n_rows))
-    rng = SplitMix64(seed)
-    for i in range(n_rows - 1, 0, -1):
-        j = rng.below(i + 1)
+    for i, j in zip(range(n_rows - 1, 0, -1), draws):
         order[i], order[j] = order[j], order[i]
     assignment = np.empty(n_rows, dtype=np.int64)
-    for position, row in enumerate(order):
-        assignment[row] = position % k
+    assignment[order] = np.arange(n_rows) % k
     return FoldPlan(k=k, assignment=assignment, seed=seed)
 
 

@@ -30,13 +30,16 @@ def mix_seed(base_seed: int, index: int) -> int:
     return _finalize((base_seed + (index + 1) * _GAMMA) & _MASK64)
 
 
-def draws_below(seed: int, count: int, n: int) -> np.ndarray:
-    """The first ``count`` values of ``SplitMix64(seed).below(n)``, as an array.
+def draws_below(seed: int, count: int, n: int | np.ndarray) -> np.ndarray:
+    """The first ``count`` draws of ``SplitMix64(seed)``, each reduced by a bound.
 
+    ``n`` is one bound for every draw or an array of ``count`` bounds, one
+    per draw; with one bound this is ``SplitMix64(seed).below(n)`` repeated.
     Draw ``i`` (from 1) finalizes state ``seed + i * GAMMA``; the same
     arithmetic runs on ``uint64`` arrays, where it wraps modulo 2**64.
     """
-    if n <= 0:
+    bounds = np.asarray(n)
+    if (bounds <= 0).any():
         raise ValueError("bound must be positive")
     with np.errstate(over="ignore"):
         z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -44,7 +47,7 @@ def draws_below(seed: int, count: int, n: int) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-    return z % np.uint64(n)
+    return z % bounds.astype(np.uint64)
 
 
 class SplitMix64:

@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import AttributeKind, Dataset
+from .dataset import Dataset
 
 # Cells (rows x attributes) sorted together in one block of a split search;
 # bounds the search's temporaries whatever the node size.
@@ -213,7 +213,7 @@ def best_condition(data: Dataset, rows) -> Condition | None:
     labels = data.labels[rows]
     parent = np.bincount(labels, minlength=class_count)
     parent_entropy = _entropies(parent[:, None], [n])[0]
-    numeric = np.array([kind is AttributeKind.NUMERIC for kind in data.attr_kinds])
+    numeric = data.numeric
     # Row j holds attribute j, so every block below is one contiguous slice.
     columns = np.ascontiguousarray(data.values[rows].T)
 

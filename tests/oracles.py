@@ -4,11 +4,12 @@ Everything here is deliberately written in plain Python over raw counts, so
 it shares no code path with the vectorized implementations it verifies.
 """
 
+import csv
 import math
 
 import numpy as np
 
-from treelab import AttributeKind, Condition
+from treelab import AttributeKind, Condition, DatasetError, SchemaMismatchError
 
 
 def entropy_counts(counts):
@@ -130,3 +131,126 @@ def peak_chain_words(node_sizes_by_path):
             total += node_sizes_by_path[path[:cut]]
         best = max(best, total)
     return best
+
+
+# Reference CSV loader: the per-cell parse the column-wise loader in
+# ``treelab.dataset`` replaced.  Every cell goes through ``parse_number``
+# on its own; the loader must agree with it cell for cell, error for error.
+
+MISSING_CELLS = frozenset({"", "?"})
+
+
+def parse_number(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def read_rows(path):
+    try:
+        with open(path, newline="") as handle:
+            rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    rows = [row for row in rows if row]
+    if not rows:
+        raise DatasetError(f"{path}: file holds no rows")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DatasetError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+    return rows
+
+
+def drop_missing(rows):
+    return [row for row in rows if all(cell not in MISSING_CELLS for cell in row)]
+
+
+def encode_category(cells):
+    codes = {}
+    encoded = []
+    for cell in cells:
+        if cell not in codes:
+            codes[cell] = len(codes)
+        encoded.append(codes[cell])
+    return encoded, tuple(codes)
+
+
+def reference_load_csv(path, has_header=True):
+    """The fields ``load_csv`` must produce, as a dict, or its exception."""
+    rows = read_rows(path)
+    header, data_rows = (rows[0], rows[1:]) if has_header else (None, rows)
+    if len(rows[0]) < 2:
+        raise DatasetError(f"{path}: need at least 2 columns (attributes + label)")
+    kept = drop_missing(data_rows)
+    if not kept:
+        raise DatasetError(f"{path}: no data rows left after dropping missing values")
+
+    m = len(kept[0]) - 1
+    values = np.empty((len(kept), m), dtype=np.float64)
+    kinds = []
+    categories = []
+    for j in range(m):
+        cells = [row[j] for row in kept]
+        parsed = [parse_number(cell) for cell in cells]
+        if all(value is not None for value in parsed):
+            kinds.append(AttributeKind.NUMERIC)
+            categories.append(None)
+            values[:, j] = parsed
+        else:
+            kinds.append(AttributeKind.CATEGORICAL)
+            encoded, table = encode_category(cells)
+            categories.append(table)
+            values[:, j] = encoded
+
+    labels, class_names = encode_category([row[m] for row in kept])
+    if len(class_names) < 2:
+        raise DatasetError(f"{path}: need at least 2 distinct classes")
+    return {
+        "attr_names": tuple(header[:m]) if header else tuple(f"a{j}" for j in range(m)),
+        "label_name": header[m] if header else "label",
+        "attr_kinds": tuple(kinds),
+        "values": values,
+        "labels": labels,
+        "class_names": class_names,
+        "categories": tuple(categories),
+    }
+
+
+def reference_load_prediction_rows(train, path, has_header=True):
+    """The matrix ``load_prediction_rows`` must produce, or its exception."""
+    rows = read_rows(path)
+    header, data_rows = (rows[0], rows[1:]) if has_header else (None, rows)
+    m = train.n_attributes
+    width = len(rows[0])
+    if width not in (m, m + 1):
+        raise SchemaMismatchError(
+            f"{path}: expected {m} or {m + 1} columns, found {width}"
+        )
+    if header is not None:
+        expected = train.attr_names + ((train.label_name,) if width == m + 1 else ())
+        if tuple(header) != expected:
+            raise SchemaMismatchError(
+                f"{path}: header {tuple(header)!r} does not match training columns"
+            )
+    kept = [row[:m] for row in drop_missing(data_rows)]
+
+    matrix = np.empty((len(kept), m), dtype=np.float64)
+    for j in range(m):
+        cells = [row[j] for row in kept]
+        if train.attr_kinds[j] is AttributeKind.NUMERIC:
+            for i, cell in enumerate(cells):
+                value = parse_number(cell)
+                if value is None:
+                    raise SchemaMismatchError(
+                        f"{path}: non-numeric cell {cell!r} in numeric column"
+                        f" {train.attr_names[j]!r}"
+                    )
+                matrix[i, j] = value
+        else:
+            table = {category: code for code, category in enumerate(train.categories[j])}
+            for i, cell in enumerate(cells):
+                matrix[i, j] = table.get(cell, -1)
+    return matrix

@@ -1,3 +1,4 @@
+import concurrent.futures
 import resource
 import subprocess
 import sys
@@ -250,7 +251,7 @@ class TestBenchmark:
         data = load_csv(toy_csv)
         params = SplitParams(min_count=2)
         serial = run_cv(data, "batched", 3, 1, params, seed=4)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         result = run_cv(data, "batched", 3, 1, params, seed=4, jobs=jobs)
         assert sizes == ([] if workers is None else [workers])
@@ -331,6 +332,30 @@ class TestPredict:
             "predict", "--train", str(train), "--test", str(bad),
             "--out", str(out),
         ]) == EXIT_SCHEMA_MISMATCH
+
+
+class TestLoaderErrors:
+    # A field past csv's field size limit and a file that is not UTF-8 are
+    # dataset errors, in the training file and in the prediction file alike.
+    CONTENTS = {
+        "oversize_field": b"a,label\n" + b"1" * 200_000 + b",x\n2,y\n",
+        "not_utf8": b"a,label\n1,x\n2,\xff\xfe\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONTENTS))
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_exit_10(self, train_test_csvs, tmp_path, capsys, case, role):
+        train, test = train_test_csvs
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(self.CONTENTS[case])
+        files = {"train": train, "test": test, role: bad}
+        code = main([
+            "predict", "--train", str(files["train"]), "--test", str(files["test"]),
+            "--bootstraps", "1", "--out", str(tmp_path / "pred.csv"),
+        ])
+        assert code == EXIT_DATASET_ERROR
+        assert f"cannot read {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestTrace:
@@ -433,6 +458,17 @@ class TestTrace:
         visits.clear()
         assert main(args + ["--force"]) == 0
         assert len(out.read_text().splitlines()) == len(visits) + 1 > limit + 1
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only a run with more than one worker process imports the pool machinery.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treelab.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(toy_csv, tmp_path):

@@ -1,13 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_load_csv, reference_load_prediction_rows
 from treelab import (
     AttributeKind,
     DatasetError,
     bootstrap,
     load_csv,
+    load_prediction_rows,
     make_folds,
 )
 from treelab.rng import SplitMix64
@@ -89,6 +94,102 @@ class TestLoadCsv:
         assert data.class_count == 2
 
 
+# Cells the loader must read exactly as the per-cell reference does: padded
+# and missing cells, quoted commas and line ends, non-finite and unusual
+# numbers, and numbers that differ only as text.
+NUMBER_CELLS = ["1", " 1 ", "2.5", "-0", "+.5", "1_000", "\u0663", "0.1", "?", ""]
+OTHER_CELLS = [
+    "\t?\t", "nan", "-inf", "1e400", "1.0", "1.00", "a", " b ", "c,d",
+    'say "hi"', "e\r\nf", "g\rh",
+]
+LABEL_CELLS = ["x", " y ", "z", "1.0", "1.00", "?"]
+NAME_CELLS = ["p", "q", "r", "label", " s "]
+
+
+def csv_field(cell, quote):
+    if quote or any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def csv_texts(draw, header, columns):
+    """A CSV file: ``header`` if given, then rows whose cell ``j`` is drawn
+    from ``columns[j]``, with random quoting, line ends and blank lines."""
+    rows = draw(st.lists(
+        st.tuples(*(st.sampled_from(pool) for pool in columns)), min_size=2, max_size=8))
+    if header is not None:
+        rows.insert(0, header)
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [
+        ",".join(csv_field(cell, draw(st.booleans())) for cell in row) for row in rows
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        # a blank line is skipped; a line of spaces is a one-cell row
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "", " "])))
+    return line_end.join(lines) + draw(st.sampled_from(["", line_end]))
+
+
+def cell_pools(draw, m):
+    return [draw(st.sampled_from([NUMBER_CELLS, NUMBER_CELLS + OTHER_CELLS]))
+            for _ in range(m)]
+
+
+def outcome(load, *args, **kwargs):
+    try:
+        return load(*args, **kwargs), None
+    except (DatasetError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestLoaderMatchesReference:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_load_csv_and_prediction_rows(self, data):
+        draw = data.draw
+        m = draw(st.integers(1, 3))
+        has_header = draw(st.booleans())
+        header = [draw(st.sampled_from(NAME_CELLS)) for _ in range(m + 1)]
+        train_text = draw(csv_texts(header if has_header else None,
+                                    cell_pools(draw, m) + [LABEL_CELLS]))
+        with tempfile.TemporaryDirectory() as tmp:
+            train_path = Path(tmp) / "train.csv"
+            train_path.write_text(train_text, encoding="utf-8", newline="")
+            train, error = outcome(load_csv, train_path, has_header=has_header)
+            want, want_error = outcome(reference_load_csv, train_path, has_header)
+            assert error == want_error
+            if train is None:
+                return
+            assert train.values.tobytes() == want["values"].tobytes()
+            assert train.labels.tolist() == want["labels"]
+            for name in ("attr_names", "label_name", "attr_kinds", "class_names",
+                         "categories"):
+                assert getattr(train, name) == want[name], name
+
+            width = draw(st.sampled_from([m, m, m + 1, m + 1, m + 2]))
+            names = list(train.attr_names) + [train.label_name, "extra"]
+            test_header = draw(st.sampled_from([names[:width]] * 3 + [["p"] * width]))
+            test_text = draw(csv_texts(
+                test_header if has_header else None,
+                cell_pools(draw, m) + [LABEL_CELLS, ["0"]][:width - m]))
+            test_path = Path(tmp) / "test.csv"
+            test_path.write_text(test_text, encoding="utf-8", newline="")
+            matrix, error = outcome(load_prediction_rows, train, test_path,
+                                    has_header=has_header)
+            want, want_error = outcome(reference_load_prediction_rows, train,
+                                       test_path, has_header)
+            assert error == want_error
+            if matrix is not None:
+                assert matrix.shape == want.shape
+                assert matrix.tobytes() == want.tobytes()
+
+    def test_first_bad_cell_in_row_order_is_named(self, tmp_path):
+        train = load_csv(write(tmp_path, "a,b,label\n1,2,x\n3,4,y\n"))
+        test = write(tmp_path, "a,b\n1,2\n5,nan\nzz,1e400\nyy,3\n", name="test.csv")
+        with pytest.raises(DatasetError, match="non-numeric cell 'zz' in numeric column 'a'"):
+            load_prediction_rows(train, test)
+
+
 class TestMakeFolds:
     def test_even_split(self):
         plan = make_folds(6, 3, seed=1)
@@ -126,6 +227,21 @@ class TestMakeFolds:
         assert sizes.max() - sizes.min() <= 1
         again = make_folds(n, k, seed)
         assert np.array_equal(assignment, again.assignment)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", [2, 7, 569, 18_000])
+    def test_matches_scalar_swap_loop(self, seed, n):
+        # the vectorised draws reproduce the sequential Fisher-Yates shuffle
+        order = list(range(n))
+        rng = SplitMix64(seed)
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        k = min(n, 10)
+        want = [0] * n
+        for position, row in enumerate(order):
+            want[row] = position % k
+        assert make_folds(n, k, seed).assignment.tolist() == want
 
     def test_train_test_complement(self):
         plan = make_folds(11, 4, seed=9)
