@@ -1,10 +1,11 @@
 """Bagged decision trees three ways, with node and memory instrumentation.
 
-The eager algorithm builds full trees before predicting; the lazy algorithm
-grows one root-to-leaf path per test observation; the batched lazy algorithm
-co-partitions training and test rows so every needed node is expanded exactly
-once.  All three share the same split function and bootstrap seeds and
-produce bit-identical prediction matrices.
+All three algorithms are one tree walk with three expansion policies: the
+eager algorithm expands every node and builds full trees before predicting;
+the lazy algorithm grows one root-to-leaf path per test observation; the
+batched lazy algorithm co-partitions training and test rows so every needed
+node is expanded exactly once.  All three share the same split function and
+bootstrap seeds and produce bit-identical prediction matrices.
 """
 
 from .batched_lazy import fit_predict_batched
@@ -27,7 +28,6 @@ from .eager_tree import (
     TreeNode,
     build_bagged_model,
     build_tree,
-    count_nodes,
     dump_tree,
     fit_predict_eager,
     predict_row,
@@ -39,6 +39,7 @@ from .metrics import (
     RunMetrics,
     WORDS_PER_INDEX,
     WORDS_PER_NODE,
+    count_nodes,
     cpu_timer,
     model_word_count,
 )

@@ -1,30 +1,24 @@
 """Batched lazy decision trees: co-partition training and test rows.
 
-One recursive pass per bootstrap carries the training subset and the test
-subset together.  At a leaf, every test row in the subset receives the leaf
-class; at a split, both subsets are partitioned by the same condition and a
-child is entered only when its test subset is non-empty (invalid side
-first).  Every node needed by at least one test row is therefore visited
-exactly once, and subtrees no test row reaches are never expanded.
+One walk per bootstrap (:func:`treelab.eager_tree.walk`) carries the
+training subset and the test subset together.  At a leaf, every test row in
+the subset receives the leaf class; at a split, both subsets are partitioned
+by the same condition and a child is entered only when its test subset is
+non-empty (invalid side first).  Every node needed by at least one test row
+is therefore visited exactly once, and subtrees no test row reaches are
+never expanded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, as_test_matrix, bootstrap
-from .metrics import RunMetrics, cpu_timer
-from .rng import mix_seed
-from .splitcore import (
-    SplitParams,
-    best_condition,
-    class_histogram,
-    is_pure,
-    majority_class,
-    partition,
-    valid_mask,
-)
-from .trace import TraceEvent
+from .dataset import Dataset
+from .eager_tree import WalkPolicy, fit_bagged
+from .metrics import RunMetrics
+from .splitcore import SplitParams
+
+BATCHED = WalkPolicy("BL-DT", expand_all=False, per_row=False)
 
 
 def fit_predict_batched(
@@ -37,90 +31,12 @@ def fit_predict_batched(
     *,
     on_visit=None,
 ) -> tuple[np.ndarray, RunMetrics]:
-    """Predict class probabilities with one co-partitioning pass per bootstrap.
+    """Predict class probabilities with one co-partitioning walk per bootstrap.
 
     Test subsets are partitioned stably, and predictions are accumulated at
     each row's original position, so the output matrix order never changes.
-    Stack accounting charges every live frame for its training indices; the
-    explored frames are a subset of the eager build's, so the batched stack
+    Stack accounting charges every live node for its training indices; the
+    explored nodes are a subset of the eager build's, so the batched stack
     peak never exceeds the eager one.
     """
-    if b < 1:
-        raise ValueError("need at least one bootstrap")
-    test_matrix = as_test_matrix(data, test)
-    n_test = test_matrix.shape[0]
-    if n_test == 0:
-        raise ValueError("test set must not be empty")
-    predictions = np.zeros((n_test, data.class_count), dtype=np.float64)
-    metrics = RunMetrics(algorithm="BL-DT")
-    share = 1.0 / b
-
-    def rec_run(rows, positions, depth, path, bootstrap_index):
-        metrics.nodes_explored += 1
-        metrics.charge_frame(rows.size)
-        try:
-            hist = class_histogram(data, rows)
-            cond = None
-            stop = (
-                depth > params.max_depth
-                or rows.size < params.min_count
-                or is_pure(hist)
-            )
-            if not stop:
-                cond = best_condition(data, rows)
-            if cond is None:
-                label = majority_class(hist)
-                if on_visit is not None:
-                    on_visit(
-                        TraceEvent(
-                            algorithm="BL-DT",
-                            bootstrap=bootstrap_index,
-                            path=path,
-                            depth=depth,
-                            train_count=int(rows.size),
-                            test_count=int(positions.size),
-                            kind="leaf",
-                            label=label,
-                        )
-                    )
-                predictions[positions, label] += share
-                return
-            if on_visit is not None:
-                on_visit(
-                    TraceEvent(
-                        algorithm="BL-DT",
-                        bootstrap=bootstrap_index,
-                        path=path,
-                        depth=depth,
-                        train_count=int(rows.size),
-                        test_count=int(positions.size),
-                        kind="split",
-                        attribute=cond.attribute,
-                        op=cond.op,
-                        value=cond.value,
-                    )
-                )
-            mask = valid_mask(cond, test_matrix[positions, cond.attribute])
-            invalid_positions = positions[~mask]
-            valid_positions = positions[mask]
-            invalid_rows, valid_rows = partition(cond, data, rows)
-            if invalid_positions.size:
-                rec_run(
-                    invalid_rows, invalid_positions, depth + 1, path + (0,),
-                    bootstrap_index,
-                )
-            if valid_positions.size:
-                rec_run(
-                    valid_rows, valid_positions, depth + 1, path + (1,),
-                    bootstrap_index,
-                )
-        finally:
-            metrics.release_frame(rows.size)
-
-    all_positions = np.arange(n_test, dtype=np.int64)
-    with cpu_timer() as clock:
-        for i in range(b):
-            sample = bootstrap(train_rows, mix_seed(base_seed, i))
-            rec_run(sample.row_indices, all_positions, 0, (), i)
-    metrics.cpu_seconds += clock.seconds
-    return predictions, metrics
+    return fit_bagged(data, train_rows, test, b, params, base_seed, BATCHED, on_visit)

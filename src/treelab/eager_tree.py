@@ -1,15 +1,23 @@
-"""Eager bagged decision trees: build every tree fully, then route rows.
+"""Bagged decision trees, and the one walk that grows them for all three algorithms.
 
 One tree per bootstrap sample.  A node stops expanding when the depth
 exceeds the maximum, the subset is smaller than the minimum count, the
 subset is pure, or no candidate condition has positive gain; otherwise it
-splits on the best condition and recurses into the invalid side first.
-Predictions average the per-tree class votes with weight ``1/b``.
+splits on the best condition.  :func:`walk` visits the nodes depth first,
+invalid side first, from an explicit stack, so the depth of a tree is not
+bounded by Python's recursion limit.
+
+The algorithms differ only in the :class:`WalkPolicy` of that walk: the
+eager one (``EAGER``) expands every child and keeps the tree, then routes
+the test rows through it; the batched and lazy ones expand only the children
+that still hold test rows.  Predictions average the per-tree class votes
+with weight ``1/b``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +32,7 @@ from .splitcore import (
     is_pure,
     majority_class,
     partition,
+    valid_mask,
 )
 from .trace import TraceEvent
 
@@ -49,15 +58,107 @@ class BaggedModel:
     trees: list[TreeNode] = field(default_factory=list)
     class_count: int = 2
 
-    @property
-    def bootstrap_count(self) -> int:
-        return len(self.trees)
+
+class WalkPolicy(NamedTuple):
+    """Which children a walk expands, and how it accounts for and reports a node."""
+
+    algorithm: str  # tag of the run metrics and the trace events
+    # Expand every child and keep the tree; no test rows ride along.  Otherwise
+    # a child is expanded only when some of the walk's test rows fall on its side.
+    expand_all: bool
+    # One test row per walk: events name that row instead of a test count, and
+    # the caller charges the bootstrap to the stack once instead of each node.
+    per_row: bool
 
 
-def count_nodes(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 1
-    return 1 + count_nodes(node.invalid_child) + count_nodes(node.valid_child)
+EAGER = WalkPolicy("DT", expand_all=True, per_row=False)
+
+
+def walk(
+    data: Dataset,
+    rows: np.ndarray,
+    params: SplitParams,
+    metrics: RunMetrics,
+    policy: WalkPolicy,
+    *,
+    on_visit=None,
+    bootstrap_index: int = 0,
+    depth: int = 0,
+    test_matrix: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
+    votes: np.ndarray | None = None,
+    share: float = 0.0,
+) -> TreeNode | None:
+    """Visit the nodes of one tree that ``policy`` expands, in preorder.
+
+    The stack holds ``(rows, positions, depth, path, node)`` for each node
+    still to visit.  Every visited node counts as explored and, unless the
+    policy is per row, charges its rows to the stack accounting and pushes
+    its row count below its children: popping that release entry frees the
+    node's words once both subtrees are done, so the metrics peak is the
+    largest root-to-leaf chain of live subset sizes.
+
+    Under ``expand_all`` the walk fills in and returns a :class:`TreeNode`
+    tree.  Otherwise ``positions`` index rows of ``test_matrix``: they are
+    split by the same condition as the training rows, and a leaf adds
+    ``share`` to ``votes[positions, label]``; the walk returns ``None``.
+    """
+    expand_all = policy.expand_all
+    charge = not policy.per_row
+    test_row = int(positions[0]) if policy.per_row else None
+    root = TreeNode() if expand_all else None
+    stack: list = [(rows, positions, depth, (), root)]
+    while stack:
+        entry = stack.pop()
+        if entry.__class__ is int:
+            metrics.release_frame(entry)
+            continue
+        rows, positions, depth, path, node = entry
+        metrics.nodes_explored += 1
+        if charge:
+            metrics.charge_frame(rows.size)
+            stack.append(rows.size)
+        hist = class_histogram(data, rows)
+        cond = None
+        if not (depth > params.max_depth or rows.size < params.min_count or is_pure(hist)):
+            cond = best_condition(data, rows)
+        label = majority_class(hist) if cond is None else None
+        if on_visit is not None:
+            on_visit(
+                TraceEvent(
+                    algorithm=policy.algorithm,
+                    bootstrap=bootstrap_index,
+                    path=path,
+                    depth=depth,
+                    train_count=int(rows.size),
+                    test_count=None if expand_all or policy.per_row else int(positions.size),
+                    kind="leaf" if cond is None else "split",
+                    attribute=None if cond is None else cond.attribute,
+                    op=None if cond is None else cond.op,
+                    value=None if cond is None else cond.value,
+                    label=label,
+                    test_row=test_row,
+                )
+            )
+        if expand_all:
+            node.label, node.condition = label, cond
+        if cond is None:
+            if not expand_all:
+                votes[positions, label] += share
+            continue
+        invalid_rows, valid_rows = partition(cond, data, rows)
+        # Pushed valid side first, so the invalid subtree is visited first.
+        if expand_all:
+            node.invalid_child, node.valid_child = TreeNode(), TreeNode()
+            stack.append((valid_rows, None, depth + 1, path + (1,), node.valid_child))
+            stack.append((invalid_rows, None, depth + 1, path + (0,), node.invalid_child))
+            continue
+        mask = valid_mask(cond, test_matrix[positions, cond.attribute])
+        if mask.any():
+            stack.append((valid_rows, positions[mask], depth + 1, path + (1,), None))
+        if not mask.all():
+            stack.append((invalid_rows, positions[~mask], depth + 1, path + (0,), None))
+    return root
 
 
 def build_tree(
@@ -69,85 +170,28 @@ def build_tree(
     *,
     on_visit=None,
     bootstrap_index: int = 0,
-    path: tuple[int, ...] = (),
 ) -> TreeNode:
-    """Recursively build one decision tree over the given row subset.
-
-    Counts one explored node per call and charges the row subset to the
-    stack accounting for the duration of the call, so the metrics peak is
-    the largest root-to-leaf chain of live subset sizes.
-    """
+    """Build one decision tree over the given row subset (:func:`walk`, ``EAGER``)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot build a tree node from zero rows")
-    metrics.nodes_explored += 1
-    metrics.charge_frame(rows.size)
-    try:
-        hist = class_histogram(data, rows)
-        cond = None
-        stop = depth > params.max_depth or rows.size < params.min_count or is_pure(hist)
-        if not stop:
-            cond = best_condition(data, rows)
-        if cond is None:
-            label = majority_class(hist)
-            if on_visit is not None:
-                on_visit(
-                    TraceEvent(
-                        algorithm="DT",
-                        bootstrap=bootstrap_index,
-                        path=path,
-                        depth=depth,
-                        train_count=int(rows.size),
-                        test_count=None,
-                        kind="leaf",
-                        label=label,
-                    )
-                )
-            return TreeNode(label=label)
-        if on_visit is not None:
-            on_visit(
-                TraceEvent(
-                    algorithm="DT",
-                    bootstrap=bootstrap_index,
-                    path=path,
-                    depth=depth,
-                    train_count=int(rows.size),
-                    test_count=None,
-                    kind="split",
-                    attribute=cond.attribute,
-                    op=cond.op,
-                    value=cond.value,
-                )
-            )
-        invalid_rows, valid_rows = partition(cond, data, rows)
-        node = TreeNode(condition=cond)
-        node.invalid_child = build_tree(
-            data, invalid_rows, depth + 1, params, metrics,
-            on_visit=on_visit, bootstrap_index=bootstrap_index, path=path + (0,),
-        )
-        node.valid_child = build_tree(
-            data, valid_rows, depth + 1, params, metrics,
-            on_visit=on_visit, bootstrap_index=bootstrap_index, path=path + (1,),
-        )
-        return node
-    finally:
-        metrics.release_frame(rows.size)
+    return walk(
+        data, rows, params, metrics, EAGER,
+        on_visit=on_visit, bootstrap_index=bootstrap_index, depth=depth,
+    )
 
 
 def predict_row(tree: TreeNode, row: np.ndarray) -> int:
     """Follow valid/invalid branches until a leaf; return its class."""
-    node = tree
-    while not node.is_leaf:
-        node = node.valid_child if node.condition.holds_for(row) else node.invalid_child
-    return node.label
+    return route_row(tree, row)[0]
 
 
 def route_row(tree: TreeNode, row: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Like :func:`predict_row`, but also return the branch path taken."""
+    """The class of the leaf ``row`` reaches, and the branch path taken."""
     node = tree
     path: tuple[int, ...] = ()
     while not node.is_leaf:
-        if node.condition.holds_for(row):
+        if valid_mask(node.condition, row[node.condition.attribute]):
             node = node.valid_child
             path += (1,)
         else:
@@ -159,17 +203,15 @@ def route_row(tree: TreeNode, row: np.ndarray) -> tuple[int, tuple[int, ...]]:
 def dump_tree(root: TreeNode) -> str:
     """Preorder plain-text serialization: `L <class>` / `I <attr> <op> <value>`."""
     lines: list[str] = []
-
-    def emit(node: TreeNode) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
             lines.append(f"L {node.label}")
         else:
             lines.append(f"I {node.condition.attribute} {node.condition.op} "
                          f"{node.condition.value!r}")
-            emit(node.invalid_child)
-            emit(node.valid_child)
-
-    emit(root)
+            stack += (node.valid_child, node.invalid_child)
     return "\n".join(lines) + "\n"
 
 
@@ -195,6 +237,61 @@ def build_bagged_model(
     return model
 
 
+def fit_bagged(
+    data: Dataset,
+    train_rows,
+    test,
+    b: int,
+    params: SplitParams,
+    base_seed: int,
+    policy: WalkPolicy,
+    on_visit=None,
+) -> tuple[np.ndarray, RunMetrics]:
+    """The fit of all three algorithms, with ``b`` trees grown under ``policy``.
+
+    Each tree adds ``1/b`` to the class it gives a test row, tree by tree, so
+    every policy yields the same probability matrix bit for bit.
+    """
+    if b < 1:
+        raise ValueError("need at least one bootstrap")
+    test_matrix = as_test_matrix(data, test)
+    n_test = test_matrix.shape[0]
+    if n_test == 0:
+        raise ValueError("test set must not be empty")
+    predictions = np.zeros((n_test, data.class_count), dtype=np.float64)
+    metrics = RunMetrics(algorithm=policy.algorithm)
+    share = 1.0 / b
+    with cpu_timer() as clock:
+        if policy.expand_all:
+            # Build, then route: partitioning the test rows alongside every
+            # node of the build costs more than routing them afterwards.
+            model = build_bagged_model(
+                data, train_rows, b, params, base_seed, metrics, on_visit=on_visit,
+            )
+            for root in model.trees:
+                for j in range(n_test):
+                    predictions[j, predict_row(root, test_matrix[j])] += share
+        else:
+            positions = np.arange(n_test, dtype=np.int64)
+            groups = [positions[j:j + 1] for j in range(n_test)] if policy.per_row else [positions]
+            for i in range(b):
+                rows = bootstrap(train_rows, mix_seed(base_seed, i)).row_indices
+                if policy.per_row:
+                    metrics.charge_frame(rows.size)
+                for group in groups:
+                    walk(
+                        data, rows, params, metrics, policy,
+                        on_visit=on_visit, bootstrap_index=i,
+                        test_matrix=test_matrix, positions=group, votes=predictions, share=share,
+                    )
+                if policy.per_row:
+                    metrics.release_frame(rows.size)
+    metrics.cpu_seconds += clock.seconds
+    if policy.expand_all:
+        metrics.model_words = model_word_count(model)
+    return predictions, metrics
+
+
 def fit_predict_eager(
     data: Dataset,
     train_rows,
@@ -210,26 +307,4 @@ def fit_predict_eager(
     ``test`` is either row indices into ``data`` or a value matrix.  Returns
     the ``(n_s, class_count)`` probability matrix and the run metrics.
     """
-    if b < 1:
-        raise ValueError("need at least one bootstrap")
-    test_matrix = as_test_matrix(data, test)
-    n_test = test_matrix.shape[0]
-    if n_test == 0:
-        raise ValueError("test set must not be empty")
-    predictions = np.zeros((n_test, data.class_count), dtype=np.float64)
-    metrics = RunMetrics(algorithm="DT")
-    share = 1.0 / b
-    with cpu_timer() as clock:
-        model = BaggedModel(class_count=data.class_count)
-        for i in range(b):
-            sample = bootstrap(train_rows, mix_seed(base_seed, i))
-            root = build_tree(
-                data, sample.row_indices, 0, params, metrics,
-                on_visit=on_visit, bootstrap_index=i,
-            )
-            model.trees.append(root)
-            for j in range(n_test):
-                predictions[j, predict_row(root, test_matrix[j])] += share
-    metrics.cpu_seconds += clock.seconds
-    metrics.model_words = model_word_count(model)
-    return predictions, metrics
+    return fit_bagged(data, train_rows, test, b, params, base_seed, EAGER, on_visit)

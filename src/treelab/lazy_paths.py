@@ -1,29 +1,24 @@
 """Lazy decision trees: grow one root-to-leaf path per test observation.
 
-For every bootstrap and every test row, the walk starts from the full
-bootstrap subset, repeatedly computes the best condition, and keeps only the
-side the test row falls on, until a stopping rule fires.  The stopping rules
-and the split function are the same as the eager builder's, so the
-prediction for each (bootstrap, row) pair is identical to routing the row
-through the eager tree of that bootstrap.
+For every bootstrap and every test row, the batched walk
+(:func:`treelab.eager_tree.walk`) runs with that row alone: it starts from
+the full bootstrap subset, repeatedly computes the best condition, and keeps
+only the side the test row falls on, until a stopping rule fires.  The
+stopping rules and the split function are the same as the eager builder's,
+so the prediction for each (bootstrap, row) pair is identical to routing the
+row through the eager tree of that bootstrap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, as_test_matrix, bootstrap
-from .metrics import RunMetrics, cpu_timer
-from .rng import mix_seed
-from .splitcore import (
-    SplitParams,
-    best_condition,
-    class_histogram,
-    is_pure,
-    majority_class,
-    partition,
-)
-from .trace import TraceEvent
+from .dataset import Dataset
+from .eager_tree import WalkPolicy, fit_bagged
+from .metrics import RunMetrics
+from .splitcore import SplitParams
+
+LAZY = WalkPolicy("L-DT", expand_all=False, per_row=True)
 
 
 def fit_predict_lazy(
@@ -43,77 +38,4 @@ def fit_predict_lazy(
     bootstrap; the shrinking walk subsets reuse that allowance, so the peak
     per bootstrap is the bootstrap size itself.
     """
-    if b < 1:
-        raise ValueError("need at least one bootstrap")
-    test_matrix = as_test_matrix(data, test)
-    n_test = test_matrix.shape[0]
-    if n_test == 0:
-        raise ValueError("test set must not be empty")
-    predictions = np.zeros((n_test, data.class_count), dtype=np.float64)
-    metrics = RunMetrics(algorithm="L-DT")
-    share = 1.0 / b
-    with cpu_timer() as clock:
-        for i in range(b):
-            sample = bootstrap(train_rows, mix_seed(base_seed, i))
-            metrics.charge_frame(sample.row_indices.size)
-            for j in range(n_test):
-                row = test_matrix[j]
-                rows = sample.row_indices
-                depth = 0
-                path: tuple[int, ...] = ()
-                while True:
-                    hist = class_histogram(data, rows)
-                    if (
-                        rows.size < params.min_count
-                        or depth > params.max_depth
-                        or is_pure(hist)
-                    ):
-                        break
-                    cond = best_condition(data, rows)
-                    if cond is None:
-                        break
-                    metrics.nodes_explored += 1
-                    if on_visit is not None:
-                        on_visit(
-                            TraceEvent(
-                                algorithm="L-DT",
-                                bootstrap=i,
-                                path=path,
-                                depth=depth,
-                                train_count=int(rows.size),
-                                test_count=None,
-                                kind="split",
-                                attribute=cond.attribute,
-                                op=cond.op,
-                                value=cond.value,
-                                test_row=j,
-                            )
-                        )
-                    invalid_rows, valid_rows = partition(cond, data, rows)
-                    if cond.holds_for(row):
-                        rows = valid_rows
-                        path += (1,)
-                    else:
-                        rows = invalid_rows
-                        path += (0,)
-                    depth += 1
-                label = majority_class(hist)
-                metrics.nodes_explored += 1
-                if on_visit is not None:
-                    on_visit(
-                        TraceEvent(
-                            algorithm="L-DT",
-                            bootstrap=i,
-                            path=path,
-                            depth=depth,
-                            train_count=int(rows.size),
-                            test_count=None,
-                            kind="leaf",
-                            label=label,
-                            test_row=j,
-                        )
-                    )
-                predictions[j, label] += share
-            metrics.release_frame(sample.row_indices.size)
-    metrics.cpu_seconds += clock.seconds
-    return predictions, metrics
+    return fit_bagged(data, train_rows, test, b, params, base_seed, LAZY, on_visit)

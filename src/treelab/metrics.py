@@ -2,7 +2,7 @@
 
 Word model: storing one observation index costs one word; storing one tree
 node costs four words (attribute, condition parameter, and the two child
-addresses).  Stack accounting charges every live recursion frame for the
+addresses).  Stack accounting charges every live node of a tree walk for the
 observation indices it holds and tracks the high-water mark in
 ``peak_stack_words``.
 """
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 WORDS_PER_INDEX = 1
 WORDS_PER_NODE = 4
-
-ALGORITHM_TAGS = ("DT", "L-DT", "BL-DT")
 
 
 class AccountingError(RuntimeError):
@@ -34,17 +32,17 @@ class RunMetrics:
     cpu_seconds: float = 0.0
     live_stack_words: int = field(default=0, compare=False)
 
-    def charge_frame(self, train_count: int, test_count: int = 0) -> None:
-        if train_count < 0 or test_count < 0:
-            raise ValueError("frame counts must be non-negative")
-        self.live_stack_words += (train_count + test_count) * WORDS_PER_INDEX
+    def charge_frame(self, train_count: int) -> None:
+        if train_count < 0:
+            raise ValueError("frame count must be non-negative")
+        self.live_stack_words += train_count * WORDS_PER_INDEX
         if self.live_stack_words > self.peak_stack_words:
             self.peak_stack_words = self.live_stack_words
 
-    def release_frame(self, train_count: int, test_count: int = 0) -> None:
-        if train_count < 0 or test_count < 0:
-            raise ValueError("frame counts must be non-negative")
-        self.live_stack_words -= (train_count + test_count) * WORDS_PER_INDEX
+    def release_frame(self, train_count: int) -> None:
+        if train_count < 0:
+            raise ValueError("frame count must be non-negative")
+        self.live_stack_words -= train_count * WORDS_PER_INDEX
         if self.live_stack_words < 0:
             raise AccountingError("released more stack words than were charged")
 
@@ -69,10 +67,20 @@ class RunMetrics:
         )
 
 
+def count_nodes(root) -> int:
+    """Nodes of one tree, leaves included."""
+    count = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if not node.is_leaf:
+            stack += (node.invalid_child, node.valid_child)
+    return count
+
+
 def model_word_count(model) -> int:
     """Words needed to store a bagged model: four per node over all trees."""
-    from .eager_tree import count_nodes
-
     return WORDS_PER_NODE * sum(count_nodes(root) for root in model.trees)
 
 

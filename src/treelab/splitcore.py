@@ -44,15 +44,6 @@ class Condition:
     op: Literal["le", "eq"]
     value: float
 
-    def holds_for(self, row: np.ndarray) -> bool:
-        cell = row[self.attribute]
-        if self.op == "le":
-            return bool(cell <= self.value)
-        return bool(cell == self.value)
-
-    def describe(self) -> str:
-        return f"{self.attribute} {self.op} {self.value!r}"
-
 
 @dataclass(frozen=True)
 class SplitParams:

@@ -1,3 +1,6 @@
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from treelab import (
     build_tree,
     count_nodes,
     dump_tree,
+    fit_predict_batched,
     fit_predict_eager,
+    fit_predict_lazy,
     predict_row,
     route_row,
 )
@@ -198,3 +203,56 @@ class TestFitPredictEager:
                                        on_visit=events.append)
         assert metrics.nodes_explored == 3
         assert metrics.model_words == 4 * 3
+
+
+@contextmanager
+def python_frames_above_here(count):
+    """Lower the recursion limit to ``count`` Python frames above the caller's."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + count)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestDeepTrees:
+    """Tree depth is not bounded by Python's recursion limit."""
+
+    # Frames the walk and the split search need below a fit, with room to spare.
+    FRAMES = 30
+
+    def chain(self, values, copies):
+        # One numeric column whose labels alternate from value to value: each
+        # split peels a few values off, so the tree is a chain.  Every value
+        # repeats ``copies`` times, so a bootstrap keeps almost all of them.
+        column = np.repeat(np.arange(values, dtype=np.float64), copies)
+        labels = np.repeat(np.arange(values) % 2, copies)
+        return dataset_from_arrays(column, labels), SplitParams(min_count=1, max_depth=10**6)
+
+    def test_build_count_and_dump(self):
+        data, params = self.chain(200, 1)
+        events = []
+        with python_frames_above_here(self.FRAMES):
+            tree = build_tree(data, np.arange(200), 0, params, fresh_metrics(),
+                              on_visit=events.append)
+            nodes = count_nodes(tree)
+            text = dump_tree(tree)
+        assert max(event.depth for event in events) == 199
+        assert nodes == len(events) == 399
+        assert len(text.splitlines()) == 399
+
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_fits(self, fit):
+        data, params = self.chain(150, 8)
+        train, test = np.arange(data.n_rows), np.arange(0, data.n_rows, 100)
+        events = []
+        expected, _ = fit(data, train, test, 1, params, 2, on_visit=events.append)
+        depth = max(event.depth for event in events)
+        assert depth > 2 * self.FRAMES
+        with python_frames_above_here(depth // 2):
+            matrix, _ = fit(data, train, test, 1, params, 2)
+        assert matrix.tobytes() == expected.tobytes()

@@ -24,31 +24,31 @@ from treelab.eager_tree import BaggedModel, TreeNode
 class TestFrameAccounting:
     def test_charge_release_roundtrip(self):
         m = RunMetrics("DT")
-        m.charge_frame(10, 0)
-        m.release_frame(10, 0)
+        m.charge_frame(10)
+        m.release_frame(10)
         assert m.peak_stack_words == 10
         assert m.live_stack_words == 0
 
     def test_running_maximum(self):
         m = RunMetrics("DT")
-        m.charge_frame(8, 0)
-        m.charge_frame(4, 0)
-        m.release_frame(4, 0)
-        m.charge_frame(5, 0)
+        m.charge_frame(8)
+        m.charge_frame(4)
+        m.release_frame(4)
+        m.charge_frame(5)
         assert m.peak_stack_words == 13
 
     def test_over_release_is_hard_failure(self):
         m = RunMetrics("DT")
-        m.charge_frame(3, 0)
+        m.charge_frame(3)
         with pytest.raises(AccountingError):
-            m.release_frame(4, 0)
+            m.release_frame(4)
 
     def test_negative_counts_rejected(self):
         m = RunMetrics("DT")
         with pytest.raises(ValueError):
-            m.charge_frame(-1, 0)
+            m.charge_frame(-1)
         with pytest.raises(ValueError):
-            m.release_frame(0, -2)
+            m.release_frame(-2)
 
     def test_eager_peak_matches_chain_replay(self):
         # Replay the recursion independently and take the deepest
