@@ -37,7 +37,6 @@ from .lazy_paths import fit_predict_lazy
 from .metrics import (
     AccountingError,
     RunMetrics,
-    WORDS_PER_INDEX,
     WORDS_PER_NODE,
     count_nodes,
     cpu_timer,
@@ -76,7 +75,6 @@ __all__ = [
     "SplitParams",
     "TraceEvent",
     "TreeNode",
-    "WORDS_PER_INDEX",
     "WORDS_PER_NODE",
     "as_test_matrix",
     "best_condition",

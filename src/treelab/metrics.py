@@ -13,7 +13,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-WORDS_PER_INDEX = 1
 WORDS_PER_NODE = 4
 
 
@@ -35,14 +34,14 @@ class RunMetrics:
     def charge_frame(self, train_count: int) -> None:
         if train_count < 0:
             raise ValueError("frame count must be non-negative")
-        self.live_stack_words += train_count * WORDS_PER_INDEX
+        self.live_stack_words += train_count
         if self.live_stack_words > self.peak_stack_words:
             self.peak_stack_words = self.live_stack_words
 
     def release_frame(self, train_count: int) -> None:
         if train_count < 0:
             raise ValueError("frame count must be non-negative")
-        self.live_stack_words -= train_count * WORDS_PER_INDEX
+        self.live_stack_words -= train_count
         if self.live_stack_words < 0:
             raise AccountingError("released more stack words than were charged")
 

@@ -20,11 +20,18 @@ adds whole class rows in a fixed order, the one in which numpy 2.x sums a
 contiguous row of doubles (:func:`_class_sum`): the gains equal those of a
 per-group ``sum(axis=1)`` bit for bit, and the order is pinned here rather
 than left to numpy.
+
+Two-class nodes of up to ``TABLE_ROWS`` rows read their side entropies from
+a table built once per process, by :func:`_entropies` itself, the first time
+such a node is searched: a two-class side's entropy depends only on its size
+and its class-0 count.  The gains are the same doubles as on the direct
+path, which larger nodes and nodes of other class counts keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal
 
 import numpy as np
@@ -34,6 +41,12 @@ from .dataset import Dataset
 # Cells (rows x attributes) sorted together in one block of a split search;
 # bounds the search's temporaries whatever the node size.
 BLOCK_CELLS = 4096
+
+# Largest two-class node whose side entropies come from the table; the table
+# holds (TABLE_ROWS + 1)(TABLE_ROWS + 2) / 2 doubles, ~1 MB.
+TABLE_ROWS = 512
+# Side sizes per step of the table build; bounds its temporaries.
+_TABLE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -124,24 +137,56 @@ def _entropies(counts: np.ndarray, totals) -> np.ndarray:
     return -_class_sum(terms)
 
 
+def _tri(sizes):
+    """Offset of side size ``N``'s row (cells ``c = 0..N``) in the table."""
+    return sizes * (sizes + 1) >> 1
+
+
+@cache
+def _entropy_table() -> np.ndarray:
+    """Two-class side entropies for ``c <= N <= TABLE_ROWS``.
+
+    Cell ``_tri(N) + c`` is the entropy of a side of ``N`` rows, ``c`` of
+    them of class 0, computed by :func:`_entropies`, so it equals the direct
+    path bit for bit.  Built on the first call, a few side sizes at a time,
+    and read-only.
+    """
+    table = np.empty(_tri(TABLE_ROWS + 1))
+    for first in range(0, TABLE_ROWS + 1, _TABLE_CHUNK):
+        sizes = np.arange(first, min(first + _TABLE_CHUNK, TABLE_ROWS + 1))
+        start, stop = _tri(first), _tri(sizes[-1] + 1)
+        totals = np.repeat(sizes, sizes + 1)
+        class0 = np.arange(start, stop) - _tri(totals)
+        table[start:stop] = _entropies(np.stack([class0, totals - class0]), totals)
+    table.flags.writeable = False
+    return table
+
+
 def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
            n_valid: np.ndarray) -> np.ndarray:
     """Information gain of each column of a ``(classes, k)`` valid-side matrix.
 
     ``parent`` is the class histogram of all rows, ``parent_entropy`` its
     entropy and ``n_valid`` the column sums of ``valid``; the invalid side
-    is the rest of the parent.
+    is the rest of the parent.  A two-class node of at most ``TABLE_ROWS``
+    rows reads only the class-0 row of ``valid``.
     """
     n = parent.sum()
     n_invalid = n - n_valid
-    # Both sides in one entropy pass, invalid columns first; columns are
-    # reduced independently.
-    k = n_valid.size
-    sides = np.empty((parent.size, 2 * k))
-    np.subtract(parent[:, None], valid, out=sides[:, :k])
-    sides[:, k:] = valid
-    entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
-    return parent_entropy - ((n_invalid / n) * entropies[:k] + (n_valid / n) * entropies[k:])
+    if parent.size == 2 and n <= TABLE_ROWS:
+        table = _entropy_table()
+        e_invalid = table[_tri(n_invalid) + (parent[0] - valid[0])]
+        e_valid = table[_tri(n_valid) + valid[0]]
+    else:
+        # Both sides in one entropy pass, invalid columns first; columns are
+        # reduced independently.
+        k = n_valid.size
+        sides = np.empty((parent.size, 2 * k))
+        np.subtract(parent[:, None], valid, out=sides[:, :k])
+        sides[:, k:] = valid
+        entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
+        e_invalid, e_valid = entropies[:k], entropies[k:]
+    return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
 
 
 def entropy(hist) -> float:
@@ -204,6 +249,8 @@ def best_condition(data: Dataset, rows) -> Condition | None:
     labels = data.labels[rows]
     parent = np.bincount(labels, minlength=class_count)
     parent_entropy = _entropies(parent[:, None], [n])[0]
+    # Class rows the gain pass reads: a two-class table lookup needs class 0.
+    tracked = 1 if class_count == 2 and n <= TABLE_ROWS else class_count
     numeric = data.numeric
     # Row j holds attribute j, so every block below is one contiguous slice.
     columns = np.ascontiguousarray(data.values[rows].T)
@@ -234,7 +281,8 @@ def best_condition(data: Dataset, rows) -> Condition | None:
         # Numeric: the valid side of a group's threshold is every row of its
         # attribute up to the group's end.  Each attribute's groups hold all
         # n rows, so the running total restarts by subtracting attr * parent.
-        valid = np.cumsum(counts, axis=1) - parent[:, None] * attr
+        counts = counts[:tracked]
+        valid = np.cumsum(counts, axis=1) - parent[:tracked, None] * attr
         n_valid = group_end - attr * n
         # Categorical: the valid side of ``value == code`` is the group.
         if not numeric[first:first + width].all():

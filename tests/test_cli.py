@@ -286,6 +286,15 @@ class TestBenchmark:
             "--bootstraps", "1", "--out", str(tmp_path / "nodir" / "x.csv"),
         ]) == EXIT_OUTPUT_ERROR
 
+    def test_bad_command_line_exits_2_with_usage(self, capsys):
+        # argparse's own status: no traceback, a usage line on stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--folds", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--dataset" in err
+        assert "Traceback" not in err
+
 
 class TestPredict:
     def test_probabilities_quantized_and_identical(self, train_test_csvs, tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +16,17 @@ from treelab import (
     SplitParams,
     best_condition,
     entropy,
+    fit_predict_batched,
+    fit_predict_eager,
+    fit_predict_lazy,
     information_gain,
     is_pure,
     majority_class,
     partition,
+    splitcore,
 )
 from treelab.dataset import AttributeKind
-from treelab.splitcore import BLOCK_CELLS, _class_sum
+from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
 ENTROPY_3_1 = 0.8112781244591328
@@ -326,6 +334,95 @@ class TestBestCondition:
         data = random_dataset(rng, 30, 3, 2, 3)
         rows = np.arange(30)
         assert best_condition(data, rows) == best_condition(data, rows)
+
+
+class TestEntropyTable:
+    """Two-class nodes of up to TABLE_ROWS rows read side entropies from a table."""
+
+    def test_every_cell_matches_direct_entropies(self):
+        # log2's bits depend on the numpy build, so this runs in-process.
+        table = splitcore._entropy_table()
+        sizes = np.arange(TABLE_ROWS + 1)
+        totals = np.repeat(sizes, sizes + 1)
+        counts = np.arange(totals.size) - totals * (totals + 1) // 2
+        assert counts.min() == 0 and (counts <= totals).all()
+        want = splitcore._entropies(np.stack([counts, totals - counts]), totals)
+        # int64 views: signed zeros count (the N = 0 cell is -0.0)
+        assert (table.view(np.int64) == want.view(np.int64)).all()
+        assert table[0].tobytes() == np.float64(-0.0).tobytes()
+
+    @staticmethod
+    def _searches(classes):
+        rng = np.random.default_rng(100 + classes)
+        for n in (2, 30, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 700):
+            for trial in range(4):
+                if trial == 0:
+                    data = gaussian_dataset(rng, 800, 6, classes, spread=0.3)
+                else:
+                    data = random_dataset(
+                        rng, 800, int(rng.integers(1, 8)), int(rng.integers(0, 4)),
+                        classes, value_grid=int(rng.integers(2, 60)),
+                    )
+                yield data, rng.integers(0, 800, size=n)
+
+    @pytest.mark.parametrize("classes", [2, 3, 8, 40])
+    def test_table_and_direct_paths_agree(self, classes, monkeypatch):
+        searches = list(self._searches(classes))
+        rng = np.random.default_rng(classes)
+        histograms = []
+        for _ in range(200):
+            parent = rng.integers(0, 60, size=classes)
+            parent[rng.integers(0, classes)] += 1
+            histograms.append((parent, rng.integers(0, parent + 1)))
+        histograms = [(p, p - v, v) for p, v in histograms if 0 < v.sum() < p.sum()]
+
+        def run():
+            conditions = [repr(best_condition(data, rows)) for data, rows in searches]
+            gains = [information_gain(*h) for h in histograms]
+            return conditions, np.array(gains).tobytes()
+
+        table = run()
+        monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
+        assert run() == table
+
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_fits_agree_with_direct_path(self, fit, monkeypatch):
+        # The roots of the 600-row table take the direct path either way.
+        rng = np.random.default_rng(606)
+        tables = [gaussian_dataset(rng, 600, 8, 2, spread=0.4),
+                  random_dataset(rng, 300, 3, 4, 8, value_grid=20)]
+        params = SplitParams(min_count=2, max_depth=12)
+
+        def run():
+            out = []
+            for data in tables:
+                test = np.arange(0, data.n_rows, data.n_rows // 10)
+                matrix, metrics = fit(data, np.arange(data.n_rows), test, 2, params, 11)
+                out.append((matrix.tobytes(), metrics.nodes_explored,
+                            metrics.peak_stack_words, metrics.model_words))
+            return out
+
+        table = run()
+        monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
+        assert run() == table
+
+    def test_table_is_bounded_and_built_once(self):
+        rng = np.random.default_rng(20000)
+        data = gaussian_dataset(rng, 20_000, 3, 2)
+        best_condition(data, np.arange(100))
+        table = splitcore._entropy_table()
+        for n in (2, TABLE_ROWS, TABLE_ROWS + 1, 20_000):
+            best_condition(data, rng.integers(0, 20_000, size=n))
+        assert splitcore._entropy_table() is table
+        assert not table.flags.writeable
+        assert table.nbytes <= splitcore._tri(TABLE_ROWS + 1) * 8
+
+    def test_not_built_at_import(self):
+        code = ("import treelab.cli, treelab.splitcore as s; "
+                "assert s._entropy_table.cache_info().currsize == 0")
+        src = str(Path(splitcore.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src), timeout=60)
 
 
 def _entropies(counts):
