@@ -1,34 +1,31 @@
 """Bagged decision trees three ways, with node and memory instrumentation.
 
-All three algorithms are one tree walk with three expansion policies: the
-eager algorithm expands every node and builds full trees before predicting;
-the lazy algorithm grows one root-to-leaf path per test observation; the
-batched lazy algorithm co-partitions training and test rows so every needed
-node is expanded exactly once.  All three share the same split function and
-bootstrap seeds and produce bit-identical prediction matrices.
+All three algorithms are one tree walk with three expansion policies, over
+the same bootstraps drawn in one loop: the eager algorithm expands every
+node and builds full trees before predicting; the lazy algorithm grows one
+root-to-leaf path per test observation; the batched lazy algorithm
+co-partitions training and test rows so every needed node is expanded
+exactly once.  All three share the same split function and bootstrap seeds
+and produce bit-identical prediction matrices.  ``__all__`` holds what the
+command line and the tests use; helpers such as ``valid_mask`` stay in
+their modules.
 """
 
 from .batched_lazy import fit_predict_batched
-from .bench import ALGORITHMS, CvResult, FoldOutcome, run_cv, run_fold
+from .bench import ALGORITHMS, run_cv, run_fold
 from .dataset import (
     AttributeKind,
-    BootstrapSample,
     Dataset,
     DatasetError,
-    FoldPlan,
     SchemaMismatchError,
-    as_test_matrix,
     bootstrap,
     load_csv,
     load_prediction_rows,
     make_folds,
 )
 from .eager_tree import (
-    BaggedModel,
     TreeNode,
-    build_bagged_model,
     build_tree,
-    dump_tree,
     fit_predict_eager,
     predict_row,
     route_row,
@@ -37,12 +34,11 @@ from .lazy_paths import fit_predict_lazy
 from .metrics import (
     AccountingError,
     RunMetrics,
-    WORDS_PER_NODE,
     count_nodes,
     cpu_timer,
     model_word_count,
 )
-from .rng import SplitMix64, mix_seed
+from .rng import mix_seed
 from .splitcore import (
     Condition,
     SplitParams,
@@ -53,38 +49,27 @@ from .splitcore import (
     is_pure,
     majority_class,
     partition,
-    valid_mask,
 )
-from .trace import TraceEvent, format_trace_line, path_string
+from .trace import TraceEvent, format_trace_line
 
 __all__ = [
     "ALGORITHMS",
     "AccountingError",
     "AttributeKind",
-    "BaggedModel",
-    "BootstrapSample",
     "Condition",
-    "CvResult",
     "Dataset",
     "DatasetError",
-    "FoldOutcome",
-    "FoldPlan",
     "RunMetrics",
     "SchemaMismatchError",
-    "SplitMix64",
     "SplitParams",
     "TraceEvent",
     "TreeNode",
-    "WORDS_PER_NODE",
-    "as_test_matrix",
     "best_condition",
     "bootstrap",
-    "build_bagged_model",
     "build_tree",
     "class_histogram",
     "count_nodes",
     "cpu_timer",
-    "dump_tree",
     "entropy",
     "fit_predict_batched",
     "fit_predict_eager",
@@ -99,10 +84,8 @@ __all__ = [
     "mix_seed",
     "model_word_count",
     "partition",
-    "path_string",
     "predict_row",
     "route_row",
     "run_cv",
     "run_fold",
-    "valid_mask",
 ]

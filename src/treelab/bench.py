@@ -23,17 +23,8 @@ ALGORITHMS = {
 
 
 @dataclass(frozen=True)
-class FoldOutcome:
-    fold: int
-    metrics: RunMetrics
-    correct: int
-    total: int
-
-
-@dataclass(frozen=True)
 class CvResult:
     algorithm: str
-    k: int
     metrics: RunMetrics
     accuracy: float
     fold_peaks: tuple[int, ...]
@@ -47,8 +38,8 @@ def run_fold(
     b: int,
     params: SplitParams,
     seed: int,
-) -> FoldOutcome:
-    """Fit on the training side of one fold and score its test rows.
+) -> tuple[RunMetrics, int]:
+    """Fit on the training side of one fold; its metrics and correct test rows.
 
     The per-fold base seed is ``mix_seed(seed, fold)``, so every algorithm
     sees the same bootstraps for the same fold.
@@ -58,11 +49,10 @@ def run_fold(
     train_rows = plan.train_rows(fold)
     matrix, metrics = fit(data, train_rows, test_rows, b, params, mix_seed(seed, fold))
     predicted = np.argmax(matrix, axis=1)
-    correct = int((predicted == data.labels[test_rows]).sum())
-    return FoldOutcome(fold=fold, metrics=metrics, correct=correct, total=int(test_rows.size))
+    return metrics, int((predicted == data.labels[test_rows]).sum())
 
 
-def _fold_task(args) -> FoldOutcome:
+def _fold_task(args) -> tuple[RunMetrics, int]:
     return run_fold(*args)
 
 
@@ -97,14 +87,12 @@ def run_cv(
     else:
         outcomes = [run_fold(*task) for task in tasks]
     merged = RunMetrics(algorithm=tag)
-    for outcome in outcomes:
-        merged = merged.merge(outcome.metrics)
-    correct = sum(outcome.correct for outcome in outcomes)
-    total = sum(outcome.total for outcome in outcomes)
+    for metrics, _ in outcomes:
+        merged = merged.merge(metrics)
+    correct = sum(fold_correct for _, fold_correct in outcomes)
     return CvResult(
         algorithm=tag,
-        k=k,
         metrics=merged,
-        accuracy=correct / total,
-        fold_peaks=tuple(outcome.metrics.peak_stack_words for outcome in outcomes),
+        accuracy=correct / data.n_rows,  # make_folds puts every row in exactly one test fold
+        fold_peaks=tuple(metrics.peak_stack_words for metrics, _ in outcomes),
     )

@@ -128,6 +128,8 @@ def cmd_benchmark(args) -> int:
     algorithms = parse_algorithms(args.algorithms)
     ks = parse_fold_spec(args.folds, data.n_rows)
     params = make_params(args)
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_BAD_PARAMS)
     seed = resolve_seed(args.seed)
 
     report_rows = []
@@ -235,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from {dt,lazy,batched}")
     bench.add_argument("--folds", required=True,
                        help="fold counts: '10', '2,5,10', or '10:400:10'")
-    bench.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    bench.add_argument("--jobs", type=int, default=1,
+                       help="parallel fold workers, at least 1 (default 1)")
     bench.add_argument("--timing", choices=("cpu", "off"), default="cpu",
                        help="'off' writes 0.0 CPU seconds for reproducible reports")
     _add_common_params(bench, bootstraps_default=100)

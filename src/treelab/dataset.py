@@ -108,11 +108,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Assignment of every row to one of ``k`` cross-validation folds."""
+    """Assignment of every row to one cross-validation fold."""
 
-    k: int
     assignment: np.ndarray
-    seed: int
 
     def __post_init__(self):
         assignment = np.asarray(self.assignment, dtype=np.int64)
@@ -124,18 +122,6 @@ class FoldPlan:
 
     def train_rows(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignment != fold)[0].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class BootstrapSample:
-    """Training-row indices drawn with replacement, one per training row."""
-
-    row_indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.row_indices, dtype=np.int64)
-        object.__setattr__(self, "row_indices", idx)
-        idx.setflags(write=False)
 
 
 def _read_rows(
@@ -300,12 +286,17 @@ def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
         order[i], order[j] = order[j], order[i]
     assignment = np.empty(n_rows, dtype=np.int64)
     assignment[order] = np.arange(n_rows) % k
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return FoldPlan(assignment=assignment)
 
 
-def bootstrap(train_indices, seed: int) -> BootstrapSample:
-    """Draw ``len(train_indices)`` of the given rows uniformly with replacement."""
+def bootstrap(train_indices, seed: int) -> np.ndarray:
+    """Draw ``len(train_indices)`` of the given rows uniformly with replacement.
+
+    The draw is a read-only int64 array of row indices.
+    """
     idx = np.asarray(train_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("cannot bootstrap an empty training set")
-    return BootstrapSample(row_indices=idx[draws_below(seed, idx.size, idx.size)])
+    sample = idx[draws_below(seed, idx.size, idx.size)]
+    sample.setflags(write=False)
+    return sample

@@ -10,13 +10,14 @@ bounded by Python's recursion limit.
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
 eager one (``EAGER``) expands every child and keeps the tree, then routes
 the test rows through it; the batched and lazy ones expand only the children
-that still hold test rows.  Predictions average the per-tree class votes
+that still hold test rows.  :func:`fit_bagged` draws the bootstraps in one
+loop for every policy, and predictions average the per-tree class votes
 with weight ``1/b``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,14 +50,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.condition is None
-
-
-@dataclass
-class BaggedModel:
-    """The trees built for one run, one per bootstrap."""
-
-    trees: list[TreeNode] = field(default_factory=list)
-    class_count: int = 2
 
 
 class WalkPolicy(NamedTuple):
@@ -200,43 +193,6 @@ def route_row(tree: TreeNode, row: np.ndarray) -> tuple[int, tuple[int, ...]]:
     return node.label, path
 
 
-def dump_tree(root: TreeNode) -> str:
-    """Preorder plain-text serialization: `L <class>` / `I <attr> <op> <value>`."""
-    lines: list[str] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            lines.append(f"L {node.label}")
-        else:
-            lines.append(f"I {node.condition.attribute} {node.condition.op} "
-                         f"{node.condition.value!r}")
-            stack += (node.valid_child, node.invalid_child)
-    return "\n".join(lines) + "\n"
-
-
-def build_bagged_model(
-    data: Dataset,
-    train_rows,
-    b: int,
-    params: SplitParams,
-    base_seed: int,
-    metrics: RunMetrics,
-    *,
-    on_visit=None,
-) -> BaggedModel:
-    """Build ``b`` trees, one per bootstrap seeded with ``mix_seed(base_seed, i)``."""
-    model = BaggedModel(class_count=data.class_count)
-    for i in range(b):
-        sample = bootstrap(train_rows, mix_seed(base_seed, i))
-        root = build_tree(
-            data, sample.row_indices, 0, params, metrics,
-            on_visit=on_visit, bootstrap_index=i,
-        )
-        model.trees.append(root)
-    return model
-
-
 def fit_bagged(
     data: Dataset,
     train_rows,
@@ -261,34 +217,34 @@ def fit_bagged(
     predictions = np.zeros((n_test, data.class_count), dtype=np.float64)
     metrics = RunMetrics(algorithm=policy.algorithm)
     share = 1.0 / b
+    positions = np.arange(n_test, dtype=np.int64)
+    groups = [positions[j:j + 1] for j in range(n_test)] if policy.per_row else [positions]
+    trees = []
     with cpu_timer() as clock:
-        if policy.expand_all:
-            # Build, then route: partitioning the test rows alongside every
-            # node of the build costs more than routing them afterwards.
-            model = build_bagged_model(
-                data, train_rows, b, params, base_seed, metrics, on_visit=on_visit,
-            )
-            for root in model.trees:
+        for i in range(b):
+            rows = bootstrap(train_rows, mix_seed(base_seed, i))
+            if policy.expand_all:
+                # Build, then route: partitioning the test rows alongside every
+                # node of the build costs more than routing them afterwards.
+                root = build_tree(data, rows, 0, params, metrics,
+                                  on_visit=on_visit, bootstrap_index=i)
+                trees.append(root)
                 for j in range(n_test):
                     predictions[j, predict_row(root, test_matrix[j])] += share
-        else:
-            positions = np.arange(n_test, dtype=np.int64)
-            groups = [positions[j:j + 1] for j in range(n_test)] if policy.per_row else [positions]
-            for i in range(b):
-                rows = bootstrap(train_rows, mix_seed(base_seed, i)).row_indices
-                if policy.per_row:
-                    metrics.charge_frame(rows.size)
-                for group in groups:
-                    walk(
-                        data, rows, params, metrics, policy,
-                        on_visit=on_visit, bootstrap_index=i,
-                        test_matrix=test_matrix, positions=group, votes=predictions, share=share,
-                    )
-                if policy.per_row:
-                    metrics.release_frame(rows.size)
+                continue
+            if policy.per_row:
+                metrics.charge_frame(rows.size)
+            for group in groups:
+                walk(
+                    data, rows, params, metrics, policy,
+                    on_visit=on_visit, bootstrap_index=i,
+                    test_matrix=test_matrix, positions=group, votes=predictions, share=share,
+                )
+            if policy.per_row:
+                metrics.release_frame(rows.size)
     metrics.cpu_seconds += clock.seconds
     if policy.expand_all:
-        metrics.model_words = model_word_count(model)
+        metrics.model_words = model_word_count(trees)
     return predictions, metrics
 
 

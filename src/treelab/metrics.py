@@ -78,9 +78,9 @@ def count_nodes(root) -> int:
     return count
 
 
-def model_word_count(model) -> int:
-    """Words needed to store a bagged model: four per node over all trees."""
-    return WORDS_PER_NODE * sum(count_nodes(root) for root in model.trees)
+def model_word_count(trees) -> int:
+    """Words needed to store a bagged model: four per node over all its trees."""
+    return WORDS_PER_NODE * sum(count_nodes(root) for root in trees)
 
 
 @dataclass

@@ -1,11 +1,15 @@
 """Deterministic 64-bit random number generation.
 
 Every random quantity in the library (fold shuffles, bootstrap draws) comes
-from a SplitMix64 stream, so results are reproducible bit-for-bit across
-platforms and Python versions.  Sub-stream seeds are derived with
-``mix_seed``; in particular bootstrap ``i`` of a run is seeded with
-``mix_seed(base_seed, i)``, which is what lets the eager, lazy, and batched
-algorithms consume identical bootstrap samples.
+from a SplitMix64 stream (Steele, Lea and Flood's mixing constants), so
+results are reproducible bit-for-bit across platforms and Python versions.
+``SplitMix64(seed)`` names the stream of seed ``seed``.  It is counter-based,
+so :func:`draws_below` computes a prefix of it at once in numpy;
+``tests/oracles.py`` holds the one-draw-at-a-time generator it is checked
+against.  Sub-stream seeds are derived with ``mix_seed``; in particular
+bootstrap ``i`` of a run is seeded with ``mix_seed(base_seed, i)``, which is
+what lets the eager, lazy, and batched algorithms consume identical
+bootstrap samples.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ def draws_below(seed: int, count: int, n: int | np.ndarray) -> np.ndarray:
     """The first ``count`` draws of ``SplitMix64(seed)``, each reduced by a bound.
 
     ``n`` is one bound for every draw or an array of ``count`` bounds, one
-    per draw; with one bound this is ``SplitMix64(seed).below(n)`` repeated.
+    per draw; each draw is reduced by plain modulo, whose bias of at most
+    ``n / 2**64`` is irrelevant at the sample sizes used here.
     Draw ``i`` (from 1) finalizes state ``seed + i * GAMMA``; the same
     arithmetic runs on ``uint64`` arrays, where it wraps modulo 2**64.
     """
@@ -48,24 +53,3 @@ def draws_below(seed: int, count: int, n: int | np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
     return z % bounds.astype(np.uint64)
-
-
-class SplitMix64:
-    """SplitMix64 generator (Steele, Lea and Flood's mixing constants)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _finalize(self._state)
-
-    def below(self, n: int) -> int:
-        """Uniform draw in [0, n).
-
-        Plain modulo reduction; the bias of at most n / 2**64 is irrelevant
-        at the sample sizes used here.
-        """
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_uint64() % n

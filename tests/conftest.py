@@ -81,7 +81,7 @@ def find_full_coverage_seed(n_rows, start=0):
     want = list(range(n_rows))
     for base in range(start, start + 10_000):
         sample = bootstrap(np.arange(n_rows), mix_seed(base, 0))
-        if sorted(sample.row_indices.tolist()) == want:
+        if sorted(sample.tolist()) == want:
             return base
     raise AssertionError("no covering bootstrap seed found")
 

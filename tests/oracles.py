@@ -133,6 +133,48 @@ def peak_chain_words(node_sizes_by_path):
     return best
 
 
+def dump_tree(root):
+    """Preorder plain-text serialization: `L <class>` / `I <attr> <op> <value>`."""
+    lines = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            lines.append(f"L {node.label}")
+        else:
+            lines.append(f"I {node.condition.attribute} {node.condition.op} "
+                         f"{node.condition.value!r}")
+            stack += (node.valid_child, node.invalid_child)
+    return "\n".join(lines) + "\n"
+
+
+class SplitMix64:
+    """Scalar SplitMix64 generator (Steele, Lea and Flood's mixing constants).
+
+    One draw at a time in Python integers: the reference stream that
+    ``treelab.rng.draws_below`` computes in numpy ``uint64`` arithmetic.
+    """
+
+    MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed):
+        self._state = seed & self.MASK
+
+    def next_uint64(self):
+        self._state = (self._state + self.GAMMA) & self.MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def below(self, n):
+        """Uniform draw in [0, n) by plain modulo reduction."""
+        if n <= 0:
+            raise ValueError("bound must be positive")
+        return self.next_uint64() % n
+
+
 # Reference CSV loader: the per-cell parse the column-wise loader in
 # ``treelab.dataset`` replaced.  Every cell goes through ``parse_number``
 # on its own; the loader must agree with it cell for cell, error for error.

@@ -16,10 +16,12 @@ from conftest import gaussian_dataset, random_dataset
 from treelab import (
     SplitParams,
     best_condition,
-    build_bagged_model,
+    bootstrap,
+    build_tree,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,
+    mix_seed,
     route_row,
     run_cv,
 )
@@ -176,8 +178,9 @@ def test_criterion_4_visited_set_union():
                              on_visit=lazy_events.append)
             fit_predict_batched(data, train, test, b, params, base,
                                 on_visit=batched_events.append)
-            model = build_bagged_model(data, train, b, params, base,
-                                       RunMetrics("DT"))
+            trees = [build_tree(data, bootstrap(train, mix_seed(base, i)), 0, params,
+                                RunMetrics("DT"))
+                     for i in range(b)]
             for i in range(b):
                 lazy_paths = {e.path for e in lazy_events if e.bootstrap == i}
                 batched_paths = [e.path for e in batched_events if e.bootstrap == i]
@@ -186,7 +189,7 @@ def test_criterion_4_visited_set_union():
                 # eager subtree reachable by the test rows
                 reachable = set()
                 for row in test:
-                    _, path = route_row(model.trees[i], data.values[row])
+                    _, path = route_row(trees[i], data.values[row])
                     reachable.update(path[:depth] for depth in range(len(path) + 1))
                 assert set(batched_paths) == reachable, f"trial {trial}"
 

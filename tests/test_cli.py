@@ -1,10 +1,16 @@
 import concurrent.futures
+import contextlib
+import io
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
 from treelab import SplitParams, bench, cli, load_csv, run_cv
@@ -286,6 +292,16 @@ class TestBenchmark:
             "--bootstraps", "1", "--out", str(tmp_path / "nodir" / "x.csv"),
         ]) == EXIT_OUTPUT_ERROR
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, toy_csv, tmp_path, capsys, jobs):
+        out = tmp_path / "x.csv"
+        assert main([
+            "benchmark", "--dataset", str(toy_csv), "--folds", "2",
+            "--bootstraps", "1", "--jobs", jobs, "--out", str(out),
+        ]) == EXIT_BAD_PARAMS
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_command_line_exits_2_with_usage(self, capsys):
         # argparse's own status: no traceback, a usage line on stderr
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +483,78 @@ class TestTrace:
         visits.clear()
         assert main(args + ["--force"]) == 0
         assert len(out.read_text().splitlines()) == len(visits) + 1 > limit + 1
+
+
+# Small tables, most of them usable, some of them ragged, holding missing
+# cells, of one class, only a header, or ending in bytes that are not UTF-8.
+CELLS = st.sampled_from(["1", "2.5", "-3", " 4 ", "x", "y"])
+DEFECTS = [None] * 8 + ["ragged", "missing", "one_class", "header_only", "not_utf8"]
+
+
+@st.composite
+def csv_bytes(draw, n_attributes, labelled):
+    header = [f"a{j}" for j in range(n_attributes)] + (["label"] if labelled else [])
+    rows = [[draw(CELLS) for _ in range(n_attributes)] + (["AB"[i % 2]] if labelled else [])
+            for i in range(draw(st.integers(2, 8)))]
+    defect = draw(st.sampled_from(DEFECTS))
+    if defect == "ragged":
+        rows[-1].append("1")
+    elif defect == "missing":
+        rows[0][0] = draw(st.sampled_from(["?", ""]))
+    elif defect == "one_class" and labelled:
+        for row in rows:
+            row[-1] = "A"
+    elif defect == "header_only":
+        rows = []
+    text = "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+    return text + (b"\xff\xfe,A\n" if defect == "not_utf8" else b"")
+
+
+FLAGS = {
+    "--bootstraps": ["-1", "0", "1", "1", "2", "1.5"],  # 1.5: an argparse error
+    "--min-count": ["-1", "0", "1", "1", "5"],
+    "--max-depth": ["-1", "0", "3", "3"],
+    "--jobs": ["-3", "0", "1", "1"],  # benchmark only; above 1 would start a pool
+    "--folds": ["2", "2", "3", "0", "x", "2:", "2:3:0", "3,2", "2:40:1"],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["benchmark", "predict", "trace"]))
+    flags = ["--folds", "--jobs"] if command == "benchmark" else []
+    flags += ["--bootstraps", "--min-count", "--max-depth"]
+    values = {flag: draw(st.sampled_from(FLAGS[flag])) for flag in flags}
+    n_attributes = draw(st.integers(1, 2))
+    train = draw(csv_bytes(n_attributes, labelled=True))
+    test = draw(csv_bytes(n_attributes, labelled=draw(st.booleans())))
+    out = draw(st.sampled_from(["file", "file", "missing_dir", "directory"]))
+    return command, values, train, test, out
+
+
+@given(call=cli_calls())
+@settings(max_examples=100, deadline=None)
+def test_generated_inputs_never_raise(call):
+    command, values, train_bytes, test_bytes, out_kind = call
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        train, test = tmp / "train.csv", tmp / "test.csv"
+        train.write_bytes(train_bytes)
+        test.write_bytes(test_bytes)
+        out = {"file": tmp / "out.csv", "missing_dir": tmp / "absent" / "out.csv",
+               "directory": tmp}[out_kind]
+        files = (["--dataset", str(train)] if command == "benchmark"
+                 else ["--train", str(train), "--test", str(test)])
+        argv = [command, *files, "--out", str(out),
+                *(f"{flag}={value}" for flag, value in values.items())]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 2, 10, 11, 12, 13, 14), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_load_csv, reference_load_prediction_rows
+from oracles import SplitMix64, reference_load_csv, reference_load_prediction_rows
 from treelab import (
     AttributeKind,
     DatasetError,
@@ -15,7 +15,6 @@ from treelab import (
     load_prediction_rows,
     make_folds,
 )
-from treelab.rng import SplitMix64
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -253,16 +252,27 @@ class TestMakeFolds:
 class TestBootstrap:
     def test_single_row(self):
         sample = bootstrap([7], seed=3)
-        assert sample.row_indices.tolist() == [7]
+        assert sample.tolist() == [7]
 
     def test_deterministic(self):
         a = bootstrap(np.arange(10), seed=7)
         b = bootstrap(np.arange(10), seed=7)
-        assert np.array_equal(a.row_indices, b.row_indices)
+        assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bootstrap([], seed=0)
+
+    def test_read_only_int64_array(self):
+        indices = np.arange(10, dtype=np.int64)
+        sample = bootstrap(indices, seed=5)
+        assert type(sample) is np.ndarray
+        assert sample.dtype == np.int64
+        assert not sample.flags.writeable
+        with pytest.raises(ValueError):
+            sample[0] = 0
+        # the caller's array is not frozen with it
+        assert indices.flags.writeable
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 7, 512, 18_000])
@@ -271,7 +281,7 @@ class TestBootstrap:
         indices = np.arange(5, 5 + n) * 3
         rng = SplitMix64(seed)
         want = [int(indices[rng.below(n)]) for _ in range(n)]
-        assert bootstrap(indices, seed).row_indices.tolist() == want
+        assert bootstrap(indices, seed).tolist() == want
 
     @given(
         n=st.integers(1, 300),
@@ -281,8 +291,8 @@ class TestBootstrap:
     def test_length_and_membership(self, n, seed):
         indices = np.arange(100, 100 + n)
         sample = bootstrap(indices, seed)
-        assert sample.row_indices.size == n
-        assert np.isin(sample.row_indices, indices).all()
+        assert sample.size == n
+        assert np.isin(sample, indices).all()
 
     def test_distinct_fraction_matches_expectation(self):
         # Drawing n of n with replacement keeps 1 - (1 - 1/n)^n distinct rows
@@ -291,7 +301,7 @@ class TestBootstrap:
         expected = 1.0 - (1.0 - 1.0 / n) ** n
         indices = np.arange(n)
         fractions = [
-            np.unique(bootstrap(indices, seed).row_indices).size / n
+            np.unique(bootstrap(indices, seed)).size / n
             for seed in range(100)
         ]
         assert abs(float(np.mean(fractions)) - expected) < 0.05

@@ -6,12 +6,12 @@ import pytest
 
 import oracles
 from conftest import dataset_from_arrays, find_full_coverage_seed, random_dataset
+from oracles import dump_tree
 from treelab import (
     RunMetrics,
     SplitParams,
     build_tree,
     count_nodes,
-    dump_tree,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,

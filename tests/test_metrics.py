@@ -18,7 +18,7 @@ from treelab import (
     fit_predict_lazy,
     model_word_count,
 )
-from treelab.eager_tree import BaggedModel, TreeNode
+from treelab.eager_tree import TreeNode
 
 
 class TestFrameAccounting:
@@ -100,14 +100,12 @@ class TestMerge:
 
 class TestModelWords:
     def test_single_leaf(self):
-        model = BaggedModel(trees=[TreeNode(label=0)], class_count=2)
-        assert model_word_count(model) == 4
+        assert model_word_count([TreeNode(label=0)]) == 4
 
     def test_linear_in_bootstraps(self, toy4):
         metrics = RunMetrics("DT")
         tree = build_tree(toy4, np.arange(4), 0, SplitParams(min_count=1), metrics)
-        model = BaggedModel(trees=[tree] * 100, class_count=2)
-        assert model_word_count(model) == 1200
+        assert model_word_count([tree] * 100) == 1200
 
     def test_model_words_far_exceed_stack_words(self, breast):
         # 100 bootstrapped trees cost vastly more words to store than the

@@ -1,4 +1,5 @@
-from treelab.rng import SplitMix64, mix_seed
+from oracles import SplitMix64
+from treelab.rng import mix_seed
 
 
 def test_known_answer_stream():
@@ -6,6 +7,17 @@ def test_known_answer_stream():
     # pins the documented stream so seeds stay valid across releases.
     r = SplitMix64(0)
     assert [r.next_uint64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+
+
+def test_mix_seed_known_answer():
+    # mix_seed(base, i) is output i + 1 of SplitMix64(base); pinning it to the
+    # published outputs keeps every bootstrap and fold seed valid across
+    # releases, independently of the oracle generator above.
+    assert [mix_seed(0, i) for i in range(3)] == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
