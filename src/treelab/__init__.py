@@ -14,7 +14,6 @@ their modules.
 from .batched_lazy import fit_predict_batched
 from .bench import ALGORITHMS, run_cv, run_fold
 from .dataset import (
-    AttributeKind,
     Dataset,
     DatasetError,
     SchemaMismatchError,
@@ -32,7 +31,6 @@ from .eager_tree import (
 )
 from .lazy_paths import fit_predict_lazy
 from .metrics import (
-    AccountingError,
     RunMetrics,
     count_nodes,
     cpu_timer,
@@ -54,8 +52,6 @@ from .trace import TraceEvent, format_trace_line
 
 __all__ = [
     "ALGORITHMS",
-    "AccountingError",
-    "AttributeKind",
     "Condition",
     "Dataset",
     "DatasetError",

@@ -35,7 +35,7 @@ def fit_predict_batched(
 
     Test subsets are partitioned stably, and predictions are accumulated at
     each row's original position, so the output matrix order never changes.
-    Stack accounting charges every live node for its training indices; the
+    Every node on the walk's current path holds its training indices; the
     explored nodes are a subset of the eager build's, so the batched stack
     peak never exceeds the eager one.
     """

@@ -102,13 +102,6 @@ def resolve_seed(seed: int) -> int:
         raise CliError(f"TREELAB_SEED must be an integer, got {env!r}", EXIT_BAD_PARAMS) from None
 
 
-def make_params(args) -> SplitParams:
-    try:
-        return SplitParams(min_count=args.min_count, max_depth=args.max_depth)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_PARAMS) from None
-
-
 def _write_csv(path, header, rows) -> None:
     try:
         with open(path, "w", newline="") as handle:
@@ -127,7 +120,7 @@ def cmd_benchmark(args) -> int:
     data = load_csv(args.dataset, has_header=not args.no_header)
     algorithms = parse_algorithms(args.algorithms)
     ks = parse_fold_spec(args.folds, data.n_rows)
-    params = make_params(args)
+    params = SplitParams(min_count=args.min_count, max_depth=args.max_depth)
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_BAD_PARAMS)
     seed = resolve_seed(args.seed)
@@ -157,15 +150,21 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _load_fit(args):
+    """The training set, and the ``--algorithm`` fit with its arguments, of predict and trace."""
     train = load_csv(args.train, has_header=not args.no_header)
     test_matrix = load_prediction_rows(train, args.test, has_header=not args.no_header)
     if test_matrix.shape[0] == 0:
         raise CliError(f"{args.test}: no usable test rows", EXIT_DATASET_ERROR)
-    params = make_params(args)
+    params = SplitParams(min_count=args.min_count, max_depth=args.max_depth)
     seed = resolve_seed(args.seed)
     _, fit = ALGORITHMS[args.algorithm]
-    matrix, _ = fit(train, train.all_rows(), test_matrix, args.bootstraps, params, seed)
+    return train, fit, (train, train.all_rows(), test_matrix, args.bootstraps, params, seed)
+
+
+def cmd_predict(args) -> int:
+    train, fit, fit_args = _load_fit(args)
+    matrix, _ = fit(*fit_args)
     header = [f"prob_{name}" for name in train.class_names] + ["prediction"]
     rows = [
         [repr(float(p)) for p in matrix[j]] + [train.class_names[int(np.argmax(matrix[j]))]]
@@ -176,13 +175,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    train = load_csv(args.train, has_header=not args.no_header)
-    test_matrix = load_prediction_rows(train, args.test, has_header=not args.no_header)
-    if test_matrix.shape[0] == 0:
-        raise CliError(f"{args.test}: no usable test rows", EXIT_DATASET_ERROR)
-    params = make_params(args)
-    seed = resolve_seed(args.seed)
-    _, fit = ALGORITHMS[args.algorithm]
+    _, fit, fit_args = _load_fit(args)
     lines = 0
 
     def write_line(event) -> None:
@@ -201,13 +194,13 @@ def cmd_trace(args) -> int:
     try:
         with open(temp, "w") as handle:
             handle.write(TRACE_HEADER + "\n")
-            fit(
-                train, train.all_rows(), test_matrix, args.bootstraps, params, seed,
-                on_visit=write_line,
-            )
+            fit(*fit_args, on_visit=write_line)
         os.replace(temp, out)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            message = f"cannot write {out}: {exc.strerror or exc}"
+            raise CliError(message, EXIT_OUTPUT_ERROR) from exc
         raise
     return 0
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
@@ -28,11 +27,6 @@ import numpy as np
 from .rng import draws_below
 
 MISSING_CELLS = frozenset({"", "?"})
-
-
-class AttributeKind(Enum):
-    NUMERIC = "numeric"
-    CATEGORICAL = "categorical"
 
 
 class DatasetError(Exception):
@@ -49,14 +43,13 @@ class Dataset:
 
     ``values`` is an ``(n_rows, n_attributes)`` float matrix; categorical
     cells hold their integer code (exact in float64).  ``categories[j]`` is
-    the decoding table of attribute ``j``, or ``None`` for numeric columns.
-    ``numeric`` is derived from ``attr_kinds``: a read-only bool mask that
-    is true for the numeric attributes.
+    the decoding table of attribute ``j``, or ``None`` for numeric columns,
+    and so the one record of each attribute's kind.  ``numeric`` is derived
+    from it: a read-only bool mask that is true for the numeric attributes.
     """
 
     name: str
     attr_names: tuple[str, ...]
-    attr_kinds: tuple[AttributeKind, ...]
     values: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
@@ -76,7 +69,7 @@ class Dataset:
             raise DatasetError("need at least one row and one attribute")
         if labels.shape != (n,):
             raise DatasetError("labels must have one entry per row")
-        if len(self.attr_names) != m or len(self.attr_kinds) != m:
+        if len(self.attr_names) != m:
             raise DatasetError("attribute metadata does not match the value matrix")
         if len(self.categories) != m:
             raise DatasetError("need one decoding table slot per attribute")
@@ -84,7 +77,7 @@ class Dataset:
             raise DatasetError("need at least 2 distinct classes")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise DatasetError("label codes out of range")
-        numeric = np.array([kind is AttributeKind.NUMERIC for kind in self.attr_kinds])
+        numeric = np.array([table is None for table in self.categories])
         object.__setattr__(self, "numeric", numeric)
         values.setflags(write=False)
         labels.setflags(write=False)
@@ -185,17 +178,14 @@ def load_csv(path, *, has_header: bool = True, name: str | None = None) -> Datas
     # Each column is read straight out of the rows, one pass per use, so
     # the cells are never held a second time as columns.
     values = np.empty((len(rows), m), dtype=np.float64)
-    kinds = []
     categories: list[tuple[str, ...] | None] = []
     for j in range(m):
         pick = itemgetter(j)
         column = _parse_numbers(map(pick, rows), len(rows))
         if column is not None:
-            kinds.append(AttributeKind.NUMERIC)
             categories.append(None)
             values[:, j] = column
         else:
-            kinds.append(AttributeKind.CATEGORICAL)
             encoded, table = _encode_category(map(pick, rows))
             categories.append(table)
             values[:, j] = encoded
@@ -207,7 +197,6 @@ def load_csv(path, *, has_header: bool = True, name: str | None = None) -> Datas
     return Dataset(
         name=name if name is not None else Path(path).stem,
         attr_names=attr_names,
-        attr_kinds=tuple(kinds),
         values=values,
         labels=np.asarray(label_codes, dtype=np.int64),
         class_names=class_names,
@@ -241,7 +230,7 @@ def load_prediction_rows(train: Dataset, path, *, has_header: bool = True) -> np
     matrix = np.empty((len(rows), m), dtype=np.float64)
     for j in range(m):
         pick = itemgetter(j)
-        if train.attr_kinds[j] is AttributeKind.NUMERIC:
+        if train.numeric[j]:
             column = _parse_numbers(map(pick, rows), len(rows))
             if column is None:
                 cells = map(pick, rows)

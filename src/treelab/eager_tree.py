@@ -60,7 +60,7 @@ class WalkPolicy(NamedTuple):
     # a child is expanded only when some of the walk's test rows fall on its side.
     expand_all: bool
     # One test row per walk: events name that row instead of a test count, and
-    # the caller charges the bootstrap to the stack once instead of each node.
+    # the bootstrap alone holds stack words, not each node.
     per_row: bool
 
 
@@ -76,20 +76,20 @@ def walk(
     *,
     on_visit=None,
     bootstrap_index: int = 0,
-    depth: int = 0,
     test_matrix: np.ndarray | None = None,
     positions: np.ndarray | None = None,
     votes: np.ndarray | None = None,
     share: float = 0.0,
 ) -> TreeNode | None:
-    """Visit the nodes of one tree that ``policy`` expands, in preorder.
+    """Visit the nodes of one tree that ``policy`` expands, in preorder, from depth 0.
 
-    The stack holds ``(rows, positions, depth, path, node)`` for each node
-    still to visit.  Every visited node counts as explored and, unless the
-    policy is per row, charges its rows to the stack accounting and pushes
-    its row count below its children: popping that release entry frees the
-    node's words once both subtrees are done, so the metrics peak is the
-    largest root-to-leaf chain of live subset sizes.
+    The stack holds ``(rows, positions, depth, path, node, held)`` for each
+    node still to visit, where ``held`` is the stack words its ancestors hold.
+    Every visited node counts as explored, adds its rows to ``held`` and
+    hands that on to its children, so the metrics peak is the largest sum of
+    subset sizes along a root-to-node path.  A per-row walk holds the
+    bootstrap from the root on and adds nothing per node: its subsets reuse
+    those words.
 
     Under ``expand_all`` the walk fills in and returns a :class:`TreeNode`
     tree.  Otherwise ``positions`` index rows of ``test_matrix``: they are
@@ -97,20 +97,17 @@ def walk(
     ``share`` to ``votes[positions, label]``; the walk returns ``None``.
     """
     expand_all = policy.expand_all
-    charge = not policy.per_row
-    test_row = int(positions[0]) if policy.per_row else None
+    per_row = policy.per_row
+    test_row = int(positions[0]) if per_row else None
     root = TreeNode() if expand_all else None
-    stack: list = [(rows, positions, depth, (), root)]
+    stack: list = [(rows, positions, 0, (), root, rows.size if per_row else 0)]
     while stack:
-        entry = stack.pop()
-        if entry.__class__ is int:
-            metrics.release_frame(entry)
-            continue
-        rows, positions, depth, path, node = entry
+        rows, positions, depth, path, node, held = stack.pop()
         metrics.nodes_explored += 1
-        if charge:
-            metrics.charge_frame(rows.size)
-            stack.append(rows.size)
+        if not per_row:
+            held += rows.size
+        if held > metrics.peak_stack_words:
+            metrics.peak_stack_words = held
         hist = class_histogram(data, rows)
         cond = None
         if not (depth > params.max_depth or rows.size < params.min_count or is_pure(hist)):
@@ -124,7 +121,7 @@ def walk(
                     path=path,
                     depth=depth,
                     train_count=int(rows.size),
-                    test_count=None if expand_all or policy.per_row else int(positions.size),
+                    test_count=None if expand_all or per_row else int(positions.size),
                     kind="leaf" if cond is None else "split",
                     attribute=None if cond is None else cond.attribute,
                     op=None if cond is None else cond.op,
@@ -143,21 +140,20 @@ def walk(
         # Pushed valid side first, so the invalid subtree is visited first.
         if expand_all:
             node.invalid_child, node.valid_child = TreeNode(), TreeNode()
-            stack.append((valid_rows, None, depth + 1, path + (1,), node.valid_child))
-            stack.append((invalid_rows, None, depth + 1, path + (0,), node.invalid_child))
+            stack.append((valid_rows, None, depth + 1, path + (1,), node.valid_child, held))
+            stack.append((invalid_rows, None, depth + 1, path + (0,), node.invalid_child, held))
             continue
         mask = valid_mask(cond, test_matrix[positions, cond.attribute])
         if mask.any():
-            stack.append((valid_rows, positions[mask], depth + 1, path + (1,), None))
+            stack.append((valid_rows, positions[mask], depth + 1, path + (1,), None, held))
         if not mask.all():
-            stack.append((invalid_rows, positions[~mask], depth + 1, path + (0,), None))
+            stack.append((invalid_rows, positions[~mask], depth + 1, path + (0,), None, held))
     return root
 
 
 def build_tree(
     data: Dataset,
     rows,
-    depth: int,
     params: SplitParams,
     metrics: RunMetrics,
     *,
@@ -169,8 +165,7 @@ def build_tree(
     if rows.size == 0:
         raise ValueError("cannot build a tree node from zero rows")
     return walk(
-        data, rows, params, metrics, EAGER,
-        on_visit=on_visit, bootstrap_index=bootstrap_index, depth=depth,
+        data, rows, params, metrics, EAGER, on_visit=on_visit, bootstrap_index=bootstrap_index
     )
 
 
@@ -226,22 +221,18 @@ def fit_bagged(
             if policy.expand_all:
                 # Build, then route: partitioning the test rows alongside every
                 # node of the build costs more than routing them afterwards.
-                root = build_tree(data, rows, 0, params, metrics,
+                root = build_tree(data, rows, params, metrics,
                                   on_visit=on_visit, bootstrap_index=i)
                 trees.append(root)
                 for j in range(n_test):
                     predictions[j, predict_row(root, test_matrix[j])] += share
                 continue
-            if policy.per_row:
-                metrics.charge_frame(rows.size)
             for group in groups:
                 walk(
                     data, rows, params, metrics, policy,
                     on_visit=on_visit, bootstrap_index=i,
                     test_matrix=test_matrix, positions=group, votes=predictions, share=share,
                 )
-            if policy.per_row:
-                metrics.release_frame(rows.size)
     metrics.cpu_seconds += clock.seconds
     if policy.expand_all:
         metrics.model_words = model_word_count(trees)

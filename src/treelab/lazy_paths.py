@@ -34,8 +34,8 @@ def fit_predict_lazy(
     """Predict class probabilities by growing one path per (bootstrap, row).
 
     Node accounting: one explored node per split taken plus one per terminal
-    leaf decision.  Stack accounting charges the bootstrap subset once per
-    bootstrap; the shrinking walk subsets reuse that allowance, so the peak
-    per bootstrap is the bootstrap size itself.
+    leaf decision.  Each walk holds the bootstrap subset's words; the
+    shrinking walk subsets reuse that allowance, so the stack peak per
+    bootstrap is the bootstrap size itself.
     """
     return fit_bagged(data, train_rows, test, b, params, base_seed, LAZY, on_visit)

@@ -2,22 +2,20 @@
 
 Word model: storing one observation index costs one word; storing one tree
 node costs four words (attribute, condition parameter, and the two child
-addresses).  Stack accounting charges every live node of a tree walk for the
-observation indices it holds and tracks the high-water mark in
-``peak_stack_words``.
+addresses).  A node of a tree walk holds the observation indices of its own
+subset while its subtree is walked, so the stack words at a node are the sum
+of subset sizes along its root-to-node path; ``peak_stack_words`` is the
+largest such sum.  The walk computes it from its own frames
+(:func:`treelab.eager_tree.walk`); :class:`RunMetrics` only stores counters.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WORDS_PER_NODE = 4
-
-
-class AccountingError(RuntimeError):
-    """Frame releases exceeded the charged total, or a run was merged early."""
 
 
 @dataclass
@@ -29,24 +27,9 @@ class RunMetrics:
     peak_stack_words: int = 0
     model_words: int = 0
     cpu_seconds: float = 0.0
-    live_stack_words: int = field(default=0, compare=False)
-
-    def charge_frame(self, train_count: int) -> None:
-        if train_count < 0:
-            raise ValueError("frame count must be non-negative")
-        self.live_stack_words += train_count
-        if self.live_stack_words > self.peak_stack_words:
-            self.peak_stack_words = self.live_stack_words
-
-    def release_frame(self, train_count: int) -> None:
-        if train_count < 0:
-            raise ValueError("frame count must be non-negative")
-        self.live_stack_words -= train_count
-        if self.live_stack_words < 0:
-            raise AccountingError("released more stack words than were charged")
 
     def merge(self, other: "RunMetrics") -> "RunMetrics":
-        """Combine two finished runs of the same algorithm.
+        """Combine two runs of the same algorithm.
 
         Node counts, model words and CPU time add up; the stack peak is the
         maximum of the two peaks.
@@ -55,8 +38,6 @@ class RunMetrics:
             raise ValueError(
                 f"cannot merge metrics of {self.algorithm!r} with {other.algorithm!r}"
             )
-        if self.live_stack_words or other.live_stack_words:
-            raise AccountingError("cannot merge metrics of unfinished runs")
         return RunMetrics(
             algorithm=self.algorithm,
             nodes_explored=self.nodes_explored + other.nodes_explored,

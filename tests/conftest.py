@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from treelab import AttributeKind, Dataset, bootstrap
+from treelab import Dataset, bootstrap
 from treelab.rng import mix_seed
-
-KIND_CODES = {"n": AttributeKind.NUMERIC, "c": AttributeKind.CATEGORICAL}
-
 
 def dataset_from_arrays(values, labels, kinds=None, class_names=None, name="synthetic"):
     """Build a Dataset from plain arrays.
@@ -20,12 +17,11 @@ def dataset_from_arrays(values, labels, kinds=None, class_names=None, name="synt
     labels = np.asarray(labels, dtype=np.int64)
     m = values.shape[1]
     kinds = kinds or "n" * m
-    attr_kinds = tuple(KIND_CODES[ch] for ch in kinds)
     if class_names is None:
         class_names = tuple(f"class{i}" for i in range(int(labels.max()) + 1))
     categories = []
-    for j, kind in enumerate(attr_kinds):
-        if kind is AttributeKind.CATEGORICAL:
+    for j, kind in enumerate(kinds):
+        if kind == "c":
             top = int(values[:, j].max())
             categories.append(tuple(f"cat{v}" for v in range(top + 1)))
         else:
@@ -33,7 +29,6 @@ def dataset_from_arrays(values, labels, kinds=None, class_names=None, name="synt
     return Dataset(
         name=name,
         attr_names=tuple(f"a{j}" for j in range(m)),
-        attr_kinds=attr_kinds,
         values=values,
         labels=labels,
         class_names=tuple(class_names),

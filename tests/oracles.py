@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from treelab import AttributeKind, Condition, DatasetError, SchemaMismatchError
+from treelab import Condition, DatasetError, SchemaMismatchError
 
 
 def entropy_counts(counts):
@@ -42,7 +42,7 @@ def iter_candidates(data, rows):
     """All candidate conditions in tie-break order (attribute, then value)."""
     for attribute in range(data.n_attributes):
         cells = [float(data.values[r, attribute]) for r in rows]
-        if data.attr_kinds[attribute] is AttributeKind.NUMERIC:
+        if data.categories[attribute] is None:
             distinct = sorted(set(cells))
             for low, high in zip(distinct, distinct[1:]):
                 threshold = (low + high) / 2.0
@@ -232,17 +232,14 @@ def reference_load_csv(path, has_header=True):
 
     m = len(kept[0]) - 1
     values = np.empty((len(kept), m), dtype=np.float64)
-    kinds = []
     categories = []
     for j in range(m):
         cells = [row[j] for row in kept]
         parsed = [parse_number(cell) for cell in cells]
         if all(value is not None for value in parsed):
-            kinds.append(AttributeKind.NUMERIC)
             categories.append(None)
             values[:, j] = parsed
         else:
-            kinds.append(AttributeKind.CATEGORICAL)
             encoded, table = encode_category(cells)
             categories.append(table)
             values[:, j] = encoded
@@ -253,7 +250,6 @@ def reference_load_csv(path, has_header=True):
     return {
         "attr_names": tuple(header[:m]) if header else tuple(f"a{j}" for j in range(m)),
         "label_name": header[m] if header else "label",
-        "attr_kinds": tuple(kinds),
         "values": values,
         "labels": labels,
         "class_names": class_names,
@@ -282,7 +278,7 @@ def reference_load_prediction_rows(train, path, has_header=True):
     matrix = np.empty((len(kept), m), dtype=np.float64)
     for j in range(m):
         cells = [row[j] for row in kept]
-        if train.attr_kinds[j] is AttributeKind.NUMERIC:
+        if train.categories[j] is None:
             for i, cell in enumerate(cells):
                 value = parse_number(cell)
                 if value is None:

@@ -178,7 +178,7 @@ def test_criterion_4_visited_set_union():
                              on_visit=lazy_events.append)
             fit_predict_batched(data, train, test, b, params, base,
                                 on_visit=batched_events.append)
-            trees = [build_tree(data, bootstrap(train, mix_seed(base, i)), 0, params,
+            trees = [build_tree(data, bootstrap(train, mix_seed(base, i)), params,
                                 RunMetrics("DT"))
                      for i in range(b)]
             for i in range(b):

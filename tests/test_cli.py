@@ -484,6 +484,19 @@ class TestTrace:
         assert main(args + ["--force"]) == 0
         assert len(out.read_text().splitlines()) == len(visits) + 1 > limit + 1
 
+    def test_out_in_missing_directory(self, train_test_csvs, tmp_path, capsys):
+        train, test = train_test_csvs
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "nodir" / "x.txt"
+        assert main([
+            "trace", "--train", str(train), "--test", str(test),
+            "--min-count", "2", "--out", str(out),
+        ]) == EXIT_OUTPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"treelab: cannot write {out}")
+        assert ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 # Small tables, most of them usable, some of them ragged, holding missing
 # cells, of one class, only a header, or ending in bytes that are not UTF-8.

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import SplitMix64, reference_load_csv, reference_load_prediction_rows
 from treelab import (
-    AttributeKind,
     DatasetError,
     bootstrap,
     load_csv,
@@ -31,7 +30,7 @@ class TestLoadCsv:
         data = load_csv(path)
         assert data.n_rows == 3
         assert data.attr_names == ("a",)
-        assert data.attr_kinds == (AttributeKind.NUMERIC,)
+        assert data.categories == (None,)
         assert data.class_names == ("x", "y")
         assert data.labels.tolist() == [0, 1, 0]
         assert data.name == "data"
@@ -41,7 +40,7 @@ class TestLoadCsv:
         data = load_csv(path, has_header=False)
         assert data.n_rows == 2
         assert data.attr_names == ("a0",)
-        assert data.attr_kinds == (AttributeKind.NUMERIC,)
+        assert data.categories == (None,)
         assert data.class_names == ("x", "y")
 
     def test_single_class_rejected(self, tmp_path):
@@ -61,13 +60,12 @@ class TestLoadCsv:
 
     def test_mixed_column_becomes_categorical(self, tmp_path):
         data = load_csv(write(tmp_path, "a,b\n1,x\nfoo,y\n2,x\n"))
-        assert data.attr_kinds == (AttributeKind.CATEGORICAL,)
         assert data.categories[0] == ("1", "foo", "2")
         assert data.values[:, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_non_finite_numbers_are_categorical(self, tmp_path):
         data = load_csv(write(tmp_path, "a,b\n1,x\ninf,y\nnan,x\n"))
-        assert data.attr_kinds == (AttributeKind.CATEGORICAL,)
+        assert data.categories == (("1", "inf", "nan"),)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
@@ -89,7 +87,7 @@ class TestLoadCsv:
         data = load_csv(breast_csv)
         assert data.n_rows == 569
         assert data.n_attributes == 30
-        assert all(kind is AttributeKind.NUMERIC for kind in data.attr_kinds)
+        assert data.categories == (None,) * 30
         assert data.class_count == 2
 
 
@@ -161,8 +159,7 @@ class TestLoaderMatchesReference:
                 return
             assert train.values.tobytes() == want["values"].tobytes()
             assert train.labels.tolist() == want["labels"]
-            for name in ("attr_names", "label_name", "attr_kinds", "class_names",
-                         "categories"):
+            for name in ("attr_names", "label_name", "class_names", "categories"):
                 assert getattr(train, name) == want[name], name
 
             width = draw(st.sampled_from([m, m, m + 1, m + 1, m + 2]))

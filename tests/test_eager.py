@@ -29,21 +29,21 @@ class TestBuildTree:
     def test_purity_stop(self):
         data = dataset_from_arrays([[1.0]] * 5 + [[9.0]], [0] * 5 + [1])
         metrics = fresh_metrics()
-        tree = build_tree(data, np.arange(5), 0, SplitParams(min_count=5), metrics)
+        tree = build_tree(data, np.arange(5), SplitParams(min_count=5), metrics)
         assert tree.is_leaf and tree.label == 0
         assert metrics.nodes_explored == 1
 
     def test_min_count_stop(self):
         data = dataset_from_arrays([[1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1])
         metrics = fresh_metrics()
-        tree = build_tree(data, np.arange(4), 0, SplitParams(min_count=5), metrics)
+        tree = build_tree(data, np.arange(4), SplitParams(min_count=5), metrics)
         assert tree.is_leaf and tree.label == 0
         assert metrics.nodes_explored == 1
 
     def test_toy_expansion(self, toy4):
         metrics = fresh_metrics()
         tree = build_tree(
-            data=toy4, rows=np.arange(4), depth=0,
+            data=toy4, rows=np.arange(4),
             params=SplitParams(min_count=1, max_depth=20), metrics=metrics,
         )
         assert not tree.is_leaf
@@ -55,18 +55,18 @@ class TestBuildTree:
     def test_depth_zero_forces_split_then_leaves(self, toy4):
         # max_depth=0: the root may split once, children at depth 1 are leaves.
         metrics = fresh_metrics()
-        tree = build_tree(toy4, np.arange(4), 0, SplitParams(1, 0), metrics)
+        tree = build_tree(toy4, np.arange(4), SplitParams(1, 0), metrics)
         assert not tree.is_leaf
         assert tree.invalid_child.is_leaf and tree.valid_child.is_leaf
 
     def test_empty_rows_rejected(self, toy4):
         with pytest.raises(ValueError):
-            build_tree(toy4, [], 0, SplitParams(), fresh_metrics())
+            build_tree(toy4, [], SplitParams(), fresh_metrics())
 
     def test_no_gain_becomes_leaf(self):
         # Impure rows with a constant attribute cannot split.
         data = dataset_from_arrays([[1.0], [1.0], [1.0]], [0, 1, 1])
-        tree = build_tree(data, np.arange(3), 0, SplitParams(min_count=1), fresh_metrics())
+        tree = build_tree(data, np.arange(3), SplitParams(min_count=1), fresh_metrics())
         assert tree.is_leaf and tree.label == 1
 
     def test_matches_independent_recursion_replay(self):
@@ -76,7 +76,7 @@ class TestBuildTree:
             n = int(rng.integers(3, 13))
             data = random_dataset(rng, n, 2, 1, 3, value_grid=4)
             events = []
-            build_tree(data, np.arange(n), 0, params, fresh_metrics(),
+            build_tree(data, np.arange(n), params, fresh_metrics(),
                        on_visit=events.append)
             replay = oracles.expand_recursion(data, np.arange(n), params)
             assert len(events) == len(replay)
@@ -97,13 +97,13 @@ class TestPredictRow:
         assert predict_row(TreeNode(label=2), np.array([0.0])) == 2
 
     def test_branches(self, toy4):
-        tree = build_tree(toy4, np.arange(4), 0, SplitParams(min_count=1),
+        tree = build_tree(toy4, np.arange(4), SplitParams(min_count=1),
                           fresh_metrics())
         assert predict_row(tree, np.array([1.0])) == 0
         assert predict_row(tree, np.array([10.0])) == 1
 
     def test_route_reports_path(self, toy4):
-        tree = build_tree(toy4, np.arange(4), 0, SplitParams(min_count=1),
+        tree = build_tree(toy4, np.arange(4), SplitParams(min_count=1),
                           fresh_metrics())
         assert route_row(tree, np.array([1.0])) == (0, (1,))
         assert route_row(tree, np.array([10.0])) == (1, (0,))
@@ -116,7 +116,7 @@ class TestPredictRow:
         for _ in range(30):
             n = int(rng.integers(3, 13))
             data = random_dataset(rng, n, 2, 0, 2, value_grid=4)
-            tree = build_tree(data, np.arange(n), 0, params, fresh_metrics())
+            tree = build_tree(data, np.arange(n), params, fresh_metrics())
             replay = oracles.expand_recursion(data, np.arange(n), params)
             leaf_rows = {path: rows for path, rows, kind, _ in replay if kind == "leaf"}
             for r in range(n):
@@ -126,7 +126,7 @@ class TestPredictRow:
 
 class TestDumpTree:
     def test_golden(self, toy4):
-        tree = build_tree(toy4, np.arange(4), 0, SplitParams(min_count=1),
+        tree = build_tree(toy4, np.arange(4), SplitParams(min_count=1),
                           fresh_metrics())
         assert dump_tree(tree) == "I 0 le 2.5\nL 1\nL 0\n"
 
@@ -170,7 +170,7 @@ class TestFitPredictEager:
             n = int(rng.integers(2, 40))
             data = random_dataset(rng, n, 2, 1, 3)
             params = SplitParams(min_count=int(rng.integers(1, 6)))
-            tree = build_tree(data, np.arange(n), 0, params, fresh_metrics())
+            tree = build_tree(data, np.arange(n), params, fresh_metrics())
             total = count_nodes(tree)
             assert total % 2 == 1
             assert total <= 2 * n - 1
@@ -237,7 +237,7 @@ class TestDeepTrees:
         data, params = self.chain(200, 1)
         events = []
         with python_frames_above_here(self.FRAMES):
-            tree = build_tree(data, np.arange(200), 0, params, fresh_metrics(),
+            tree = build_tree(data, np.arange(200), params, fresh_metrics(),
                               on_visit=events.append)
             nodes = count_nodes(tree)
             text = dump_tree(tree)

@@ -39,7 +39,7 @@ class TestPathEquivalence:
                              on_visit=events.append)
             for i in range(2):
                 sample = bootstrap(train, mix_seed(base, i))
-                tree = build_tree(data, sample, 0, params,
+                tree = build_tree(data, sample, params,
                                   RunMetrics("DT"))
                 for j, row in enumerate(test):
                     label, path = route_row(tree, data.values[row])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from conftest import dataset_from_arrays, random_dataset
 from treelab import (
-    AccountingError,
     RunMetrics,
     SplitParams,
     build_tree,
@@ -22,34 +21,6 @@ from treelab.eager_tree import TreeNode
 
 
 class TestFrameAccounting:
-    def test_charge_release_roundtrip(self):
-        m = RunMetrics("DT")
-        m.charge_frame(10)
-        m.release_frame(10)
-        assert m.peak_stack_words == 10
-        assert m.live_stack_words == 0
-
-    def test_running_maximum(self):
-        m = RunMetrics("DT")
-        m.charge_frame(8)
-        m.charge_frame(4)
-        m.release_frame(4)
-        m.charge_frame(5)
-        assert m.peak_stack_words == 13
-
-    def test_over_release_is_hard_failure(self):
-        m = RunMetrics("DT")
-        m.charge_frame(3)
-        with pytest.raises(AccountingError):
-            m.release_frame(4)
-
-    def test_negative_counts_rejected(self):
-        m = RunMetrics("DT")
-        with pytest.raises(ValueError):
-            m.charge_frame(-1)
-        with pytest.raises(ValueError):
-            m.release_frame(-2)
-
     def test_eager_peak_matches_chain_replay(self):
         # Replay the recursion independently and take the deepest
         # pending-sibling chain of live subset sizes.
@@ -59,11 +30,29 @@ class TestFrameAccounting:
             n = int(rng.integers(3, 13))
             data = random_dataset(rng, n, 2, 1, 2, value_grid=4)
             metrics = RunMetrics("DT")
-            build_tree(data, np.arange(n), 0, params, metrics)
+            build_tree(data, np.arange(n), params, metrics)
             replay = oracles.expand_recursion(data, np.arange(n), params)
             sizes = {path: len(rows) for path, rows, _, _ in replay}
             assert metrics.peak_stack_words == oracles.peak_chain_words(sizes)
-            assert metrics.live_stack_words == 0
+
+    def test_batched_peak_matches_chain_replay(self):
+        # The batched peak is the largest root-to-node sum of the training
+        # counts its trace reports, over all bootstraps.
+        rng = np.random.default_rng(61)
+        params = SplitParams(min_count=2, max_depth=8)
+        for _ in range(30):
+            n = int(rng.integers(6, 25))
+            data = random_dataset(rng, n, 2, 1, 3, value_grid=5)
+            cut = int(rng.integers(3, n - 1))
+            sizes = {}
+            _, metrics = fit_predict_batched(
+                data, np.arange(cut), np.arange(cut, n), 3, params, int(rng.integers(100)),
+                on_visit=lambda e: sizes.setdefault(e.bootstrap, {}).update(
+                    {e.path: e.train_count}),
+            )
+            assert len(sizes) == 3
+            want = max(oracles.peak_chain_words(tree) for tree in sizes.values())
+            assert metrics.peak_stack_words == want
 
 
 class TestMerge:
@@ -78,12 +67,6 @@ class TestMerge:
     def test_tag_mismatch_rejected(self):
         with pytest.raises(ValueError):
             self.make("DT", 0, 0, 0, 0.0).merge(self.make("L-DT", 0, 0, 0, 0.0))
-
-    def test_unfinished_run_rejected(self):
-        left = self.make("DT", 0, 0, 0, 0.0)
-        left.charge_frame(1)
-        with pytest.raises(AccountingError):
-            left.merge(self.make("DT", 0, 0, 0, 0.0))
 
     @given(
         triples=st.lists(
@@ -104,7 +87,7 @@ class TestModelWords:
 
     def test_linear_in_bootstraps(self, toy4):
         metrics = RunMetrics("DT")
-        tree = build_tree(toy4, np.arange(4), 0, SplitParams(min_count=1), metrics)
+        tree = build_tree(toy4, np.arange(4), SplitParams(min_count=1), metrics)
         assert model_word_count([tree] * 100) == 1200
 
     def test_model_words_far_exceed_stack_words(self, breast):

@@ -25,7 +25,6 @@ from treelab import (
     partition,
     splitcore,
 )
-from treelab.dataset import AttributeKind
 from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
@@ -445,7 +444,7 @@ def per_attribute_best_condition(data, rows):
     best, best_gain = None, 0.0
     for attribute in range(data.n_attributes):
         column = data.values[rows, attribute]
-        if data.attr_kinds[attribute] is AttributeKind.NUMERIC:
+        if data.categories[attribute] is None:
             order = np.argsort(column, kind="stable")
             ordered = column[order]
             bounds = np.nonzero(ordered[:-1] != ordered[1:])[0]
