@@ -12,7 +12,7 @@ their modules.
 """
 
 from .batched_lazy import fit_predict_batched
-from .bench import ALGORITHMS, run_cv, run_fold
+from .bench import ALGORITHMS, run_cv
 from .dataset import (
     Dataset,
     DatasetError,
@@ -22,33 +22,21 @@ from .dataset import (
     load_prediction_rows,
     make_folds,
 )
-from .eager_tree import (
-    TreeNode,
-    build_tree,
-    fit_predict_eager,
-    predict_row,
-    route_row,
-)
+from .eager_tree import build_tree, fit_predict_eager, predict_row, route_row
 from .lazy_paths import fit_predict_lazy
-from .metrics import (
-    RunMetrics,
-    count_nodes,
-    cpu_timer,
-    model_word_count,
-)
+from .metrics import RunMetrics, count_nodes, model_word_count
 from .rng import mix_seed
 from .splitcore import (
     Condition,
     SplitParams,
     best_condition,
-    class_histogram,
     entropy,
     information_gain,
     is_pure,
     majority_class,
     partition,
 )
-from .trace import TraceEvent, format_trace_line
+from .trace import format_trace_line
 
 __all__ = [
     "ALGORITHMS",
@@ -58,14 +46,10 @@ __all__ = [
     "RunMetrics",
     "SchemaMismatchError",
     "SplitParams",
-    "TraceEvent",
-    "TreeNode",
     "best_condition",
     "bootstrap",
     "build_tree",
-    "class_histogram",
     "count_nodes",
-    "cpu_timer",
     "entropy",
     "fit_predict_batched",
     "fit_predict_eager",
@@ -83,5 +67,4 @@ __all__ = [
     "predict_row",
     "route_row",
     "run_cv",
-    "run_fold",
 ]

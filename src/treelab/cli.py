@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import sys
 from pathlib import Path
@@ -59,7 +60,7 @@ def parse_fold_spec(spec: str, n_rows: int) -> list[int]:
         try:
             if ":" in token:
                 start, stop, step = (int(part) for part in token.split(":"))
-                if step <= 0:
+                if step <= 0 or start > stop:  # an empty range selects no fold
                     raise ValueError
                 # check the ends first, so a huge range fails before it is built
                 for k in (start, stop):
@@ -102,14 +103,36 @@ def resolve_seed(seed: int) -> int:
         raise CliError(f"TREELAB_SEED must be an integer, got {env!r}", EXIT_BAD_PARAMS) from None
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_outputs(outputs) -> None:
+    """Write each ``(path, write)`` to a file beside ``path``, then replace the paths.
+
+    ``write(handle)`` fills one text file.  The paths are replaced only after
+    every file is written, so a failed run leaves existing outputs as they were
+    and no temporary file behind.
+    """
+    temps = []
     try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_OUTPUT_ERROR) from exc
+        for out, write in outputs:
+            temps.append(out.with_name(f"{out.name}.{os.getpid()}.tmp"))
+            with open(temps[-1], "w", newline="") as handle:
+                write(handle)
+        for out, _ in outputs:
+            if out.is_dir():  # would fail its rename, after earlier paths were replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for (out, _), temp in zip(outputs, temps):
+            os.replace(temp, out)
+    except BaseException as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            message = f"cannot write {out}: {exc.strerror or exc}"
+            raise CliError(message, EXIT_OUTPUT_ERROR) from exc
+        raise
+
+
+def _csv(rows):
+    """A ``write`` of :func:`_write_outputs` for one CSV table, header row first."""
+    return lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def plot_path(out: Path) -> Path:
@@ -125,8 +148,8 @@ def cmd_benchmark(args) -> int:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_BAD_PARAMS)
     seed = resolve_seed(args.seed)
 
-    report_rows = []
-    plot_rows = []
+    report_rows = [REPORT_COLUMNS]
+    plot_rows = [PLOT_COLUMNS]
     for k in ks:
         for name in algorithms:
             result = run_cv(data, name, k, args.bootstraps, params, seed, jobs=args.jobs)
@@ -145,8 +168,7 @@ def cmd_benchmark(args) -> int:
                 max(result.fold_peaks),
             ])
     out = Path(args.out)
-    _write_csv(out, REPORT_COLUMNS, report_rows)
-    _write_csv(plot_path(out), PLOT_COLUMNS, plot_rows)
+    _write_outputs([(out, _csv(report_rows)), (plot_path(out), _csv(plot_rows))])
     return 0
 
 
@@ -166,42 +188,34 @@ def cmd_predict(args) -> int:
     train, fit, fit_args = _load_fit(args)
     matrix, _ = fit(*fit_args)
     header = [f"prob_{name}" for name in train.class_names] + ["prediction"]
-    rows = [
+    rows = [header] + [
         [repr(float(p)) for p in matrix[j]] + [train.class_names[int(np.argmax(matrix[j]))]]
         for j in range(matrix.shape[0])
     ]
-    _write_csv(Path(args.out), header, rows)
+    _write_outputs([(Path(args.out), _csv(rows))])
     return 0
 
 
 def cmd_trace(args) -> int:
     _, fit, fit_args = _load_fit(args)
-    lines = 0
 
-    def write_line(event) -> None:
-        nonlocal lines
-        lines += 1
-        if lines > TRACE_LINE_LIMIT and not args.force:
-            raise CliError(
-                f"trace exceeds {TRACE_LINE_LIMIT} lines; pass --force to write it anyway",
-                EXIT_TRACE_GUARDRAIL,
-            )
-        handle.write(format_trace_line(event) + "\n")
+    def write_trace(handle) -> None:
+        lines = 0
 
-    # Lines go to a file next to --out that replaces it only on success.
-    out = Path(args.out)
-    temp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "w") as handle:
-            handle.write(TRACE_HEADER + "\n")
-            fit(*fit_args, on_visit=write_line)
-        os.replace(temp, out)
-    except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            message = f"cannot write {out}: {exc.strerror or exc}"
-            raise CliError(message, EXIT_OUTPUT_ERROR) from exc
-        raise
+        def write_line(event) -> None:
+            nonlocal lines
+            lines += 1
+            if lines > TRACE_LINE_LIMIT and not args.force:
+                raise CliError(
+                    f"trace exceeds {TRACE_LINE_LIMIT} lines; pass --force to write it anyway",
+                    EXIT_TRACE_GUARDRAIL,
+                )
+            handle.write(format_trace_line(event) + "\n")
+
+        handle.write(TRACE_HEADER + "\n")
+        fit(*fit_args, on_visit=write_line)
+
+    _write_outputs([(Path(args.out), write_trace)])
     return 0
 
 

@@ -8,22 +8,23 @@ invalid side first, from an explicit stack, so the depth of a tree is not
 bounded by Python's recursion limit.
 
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
-eager one (``EAGER``) expands every child and keeps the tree, then routes
-the test rows through it; the batched and lazy ones expand only the children
-that still hold test rows.  :func:`fit_bagged` draws the bootstraps in one
-loop for every policy, and predictions average the per-tree class votes
-with weight ``1/b``.
+eager one (``EAGER``) expands every child and builds the tree, counts its
+words and routes the test rows through it, then drops it; the batched and
+lazy ones expand only the children that still hold test rows.
+:func:`fit_bagged` draws the bootstraps in one loop for every policy, and
+predictions average the per-tree class votes with weight ``1/b``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset, as_test_matrix, bootstrap
-from .metrics import RunMetrics, cpu_timer, model_word_count
+from .metrics import RunMetrics, model_word_count
 from .rng import mix_seed
 from .splitcore import (
     SplitParams,
@@ -55,7 +56,7 @@ class TreeNode:
 class WalkPolicy(NamedTuple):
     """Which children a walk expands, and how it accounts for and reports a node."""
 
-    algorithm: str  # tag of the run metrics and the trace events
+    algorithm: str  # tag of the run metrics
     # Expand every child and keep the tree; no test rows ride along.  Otherwise
     # a child is expanded only when some of the walk's test rows fall on its side.
     expand_all: bool
@@ -83,13 +84,13 @@ def walk(
 ) -> TreeNode | None:
     """Visit the nodes of one tree that ``policy`` expands, in preorder, from depth 0.
 
-    The stack holds ``(rows, positions, depth, path, node, held)`` for each
-    node still to visit, where ``held`` is the stack words its ancestors hold.
-    Every visited node counts as explored, adds its rows to ``held`` and
-    hands that on to its children, so the metrics peak is the largest sum of
-    subset sizes along a root-to-node path.  A per-row walk holds the
-    bootstrap from the root on and adds nothing per node: its subsets reuse
-    those words.
+    The stack holds ``(rows, positions, path, node, held)`` for each node
+    still to visit, where ``held`` is the stack words its ancestors hold; a
+    node's depth is ``len(path)``.  Every visited node counts as explored,
+    adds its rows to ``held`` and hands that on to its children, so the
+    metrics peak is the largest sum of subset sizes along a root-to-node
+    path.  A per-row walk holds the bootstrap from the root on and adds
+    nothing per node: its subsets reuse those words.
 
     Under ``expand_all`` the walk fills in and returns a :class:`TreeNode`
     tree.  Otherwise ``positions`` index rows of ``test_matrix``: they are
@@ -100,9 +101,9 @@ def walk(
     per_row = policy.per_row
     test_row = int(positions[0]) if per_row else None
     root = TreeNode() if expand_all else None
-    stack: list = [(rows, positions, 0, (), root, rows.size if per_row else 0)]
+    stack: list = [(rows, positions, (), root, rows.size if per_row else 0)]
     while stack:
-        rows, positions, depth, path, node, held = stack.pop()
+        rows, positions, path, node, held = stack.pop()
         metrics.nodes_explored += 1
         if not per_row:
             held += rows.size
@@ -110,16 +111,14 @@ def walk(
             metrics.peak_stack_words = held
         hist = class_histogram(data, rows)
         cond = None
-        if not (depth > params.max_depth or rows.size < params.min_count or is_pure(hist)):
+        if not (len(path) > params.max_depth or rows.size < params.min_count or is_pure(hist)):
             cond = best_condition(data, rows)
         label = majority_class(hist) if cond is None else None
         if on_visit is not None:
             on_visit(
                 TraceEvent(
-                    algorithm=policy.algorithm,
                     bootstrap=bootstrap_index,
                     path=path,
-                    depth=depth,
                     train_count=int(rows.size),
                     test_count=None if expand_all or per_row else int(positions.size),
                     kind="leaf" if cond is None else "split",
@@ -140,14 +139,14 @@ def walk(
         # Pushed valid side first, so the invalid subtree is visited first.
         if expand_all:
             node.invalid_child, node.valid_child = TreeNode(), TreeNode()
-            stack.append((valid_rows, None, depth + 1, path + (1,), node.valid_child, held))
-            stack.append((invalid_rows, None, depth + 1, path + (0,), node.invalid_child, held))
+            stack.append((valid_rows, None, path + (1,), node.valid_child, held))
+            stack.append((invalid_rows, None, path + (0,), node.invalid_child, held))
             continue
         mask = valid_mask(cond, test_matrix[positions, cond.attribute])
         if mask.any():
-            stack.append((valid_rows, positions[mask], depth + 1, path + (1,), None, held))
+            stack.append((valid_rows, positions[mask], path + (1,), None, held))
         if not mask.all():
-            stack.append((invalid_rows, positions[~mask], depth + 1, path + (0,), None, held))
+            stack.append((invalid_rows, positions[~mask], path + (0,), None, held))
     return root
 
 
@@ -214,28 +213,26 @@ def fit_bagged(
     share = 1.0 / b
     positions = np.arange(n_test, dtype=np.int64)
     groups = [positions[j:j + 1] for j in range(n_test)] if policy.per_row else [positions]
-    trees = []
-    with cpu_timer() as clock:
-        for i in range(b):
-            rows = bootstrap(train_rows, mix_seed(base_seed, i))
-            if policy.expand_all:
-                # Build, then route: partitioning the test rows alongside every
-                # node of the build costs more than routing them afterwards.
-                root = build_tree(data, rows, params, metrics,
-                                  on_visit=on_visit, bootstrap_index=i)
-                trees.append(root)
-                for j in range(n_test):
-                    predictions[j, predict_row(root, test_matrix[j])] += share
-                continue
-            for group in groups:
-                walk(
-                    data, rows, params, metrics, policy,
-                    on_visit=on_visit, bootstrap_index=i,
-                    test_matrix=test_matrix, positions=group, votes=predictions, share=share,
-                )
-    metrics.cpu_seconds += clock.seconds
-    if policy.expand_all:
-        metrics.model_words = model_word_count(trees)
+    start = time.process_time()
+    for i in range(b):
+        rows = bootstrap(train_rows, mix_seed(base_seed, i))
+        if policy.expand_all:
+            # Build, then route: partitioning the test rows alongside every
+            # node of the build costs more than routing them afterwards.
+            root = build_tree(data, rows, params, metrics,
+                              on_visit=on_visit, bootstrap_index=i)
+            metrics.model_words += model_word_count([root])
+            for j in range(n_test):
+                predictions[j, predict_row(root, test_matrix[j])] += share
+            del root  # before the next build, so one tree is held at a time
+            continue
+        for group in groups:
+            walk(
+                data, rows, params, metrics, policy,
+                on_visit=on_visit, bootstrap_index=i,
+                test_matrix=test_matrix, positions=group, votes=predictions, share=share,
+            )
+    metrics.cpu_seconds = time.process_time() - start
     return predictions, metrics
 
 

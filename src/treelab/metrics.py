@@ -7,12 +7,13 @@ subset while its subtree is walked, so the stack words at a node are the sum
 of subset sizes along its root-to-node path; ``peak_stack_words`` is the
 largest such sum.  The walk computes it from its own frames
 (:func:`treelab.eager_tree.walk`); :class:`RunMetrics` only stores counters.
+The eager fit adds each tree's ``model_word_count`` as soon as the tree is
+built, and every fit's ``cpu_seconds`` is the ``time.process_time``
+(user plus system CPU of this process, sleep excluded) of its bootstrap loop.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 WORDS_PER_NODE = 4
@@ -63,23 +64,3 @@ def model_word_count(trees) -> int:
     """Words needed to store a bagged model: four per node over all its trees."""
     return WORDS_PER_NODE * sum(count_nodes(root) for root in trees)
 
-
-@dataclass
-class CpuClock:
-    seconds: float = 0.0
-
-
-@contextmanager
-def cpu_timer():
-    """Measure the user+kernel CPU seconds of the enclosed block.
-
-    Backed by ``time.process_time`` (user plus system time of the current
-    process), which the interpreter provides on every supported platform;
-    time spent sleeping does not count.
-    """
-    clock = CpuClock()
-    start = time.process_time()
-    try:
-        yield clock
-    finally:
-        clock.seconds = time.process_time() - start

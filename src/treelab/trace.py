@@ -15,10 +15,8 @@ TRACE_HEADER = "# depth\tpath\ttrain\ttest\trow\taction"
 
 @dataclass(frozen=True)
 class TraceEvent:
-    algorithm: str
     bootstrap: int
     path: tuple[int, ...]
-    depth: int
     train_count: int
     test_count: int | None
     kind: str  # "split" | "leaf"
@@ -27,6 +25,10 @@ class TraceEvent:
     value: float | None = None
     label: int | None = None
     test_row: int | None = None
+
+    @property
+    def depth(self) -> int:
+        return len(self.path)
 
 
 def path_string(path: tuple[int, ...]) -> str:

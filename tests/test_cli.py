@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import io
+import os
 import resource
 import subprocess
 import sys
@@ -25,6 +26,9 @@ from treelab.cli import (
     parse_fold_spec,
 )
 from treelab.cli import CliError
+
+# Subprocesses import treelab from this checkout, installed or not.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def write_dataset_csv(path, data, with_labels=True):
@@ -122,6 +126,14 @@ class TestFoldSpec:
         with pytest.raises(CliError, match="fold count 101 "):
             parse_fold_spec("2:101:50", 100)
 
+    def test_empty_range_rejected(self, toy_csv, tmp_path):
+        with pytest.raises(CliError, match="bad fold spec '5:2:1'"):
+            parse_fold_spec("5:2:1", 100)
+        out = tmp_path / "r.csv"
+        assert main(["benchmark", "--dataset", str(toy_csv), "--folds", "5:2:1",
+                     "--out", str(out)]) == EXIT_BAD_PARAMS
+        assert not out.exists()
+
     def test_huge_range_fails_before_it_is_built(self, toy_csv, tmp_path):
         # Run in a child capped at 1 GiB of address space: building the
         # billion-element list would end in MemoryError (exit 1), not 11.
@@ -132,6 +144,7 @@ class TestFoldSpec:
             [sys.executable, "-m", "treelab", "benchmark", "--dataset", str(toy_csv),
              "--folds", "2:1000000000:1", "--out", str(tmp_path / "r.csv")],
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env=SUBPROCESS_ENV,
         )
         assert proc.returncode == EXIT_BAD_PARAMS, proc.stderr
         assert "fold count 1000000000 out of range" in proc.stderr
@@ -160,6 +173,20 @@ class TestBenchmark:
         plot = tmp_path / "report_plot.csv"
         assert plot.exists()
         assert len(plot.read_text().splitlines()) == 4
+
+    def test_failed_write_leaves_existing_report(self, toy_csv, tmp_path, capsys):
+        # The plot file cannot be written, so the report is not replaced either.
+        out = tmp_path / "rep.csv"
+        out.write_text("previous report\n")
+        plot = tmp_path / "rep_plot.csv"
+        plot.mkdir()
+        assert main([
+            "benchmark", "--dataset", str(toy_csv), "--folds", "2",
+            "--bootstraps", "1", "--out", str(out),
+        ]) == EXIT_OUTPUT_ERROR
+        assert capsys.readouterr().err == f"treelab: cannot write {plot}: Is a directory\n"
+        assert out.read_bytes() == b"previous report\n"
+        assert sorted(tmp_path.glob("*.tmp")) == []
 
     def test_node_count_directions_at_ten_folds(self, tmp_path):
         rng = np.random.default_rng(404)
@@ -498,6 +525,15 @@ class TestTrace:
         assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["benchmark", "predict", "trace"])
+def test_unwritable_out_message(command, toy_csv, train_test_csvs, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.csv"
+    inputs = (["--dataset", str(toy_csv), "--folds", "2"] if command == "benchmark"
+              else ["--train", str(train_test_csvs[0]), "--test", str(train_test_csvs[1])])
+    assert main([command, *inputs, "--bootstraps", "1", "--out", str(out)]) == EXIT_OUTPUT_ERROR
+    assert capsys.readouterr().err == f"treelab: cannot write {out}: No such file or directory\n"
+
+
 # Small tables, most of them usable, some of them ragged, holding missing
 # cells, of one class, only a header, or ending in bytes that are not UTF-8.
 CELLS = st.sampled_from(["1", "2.5", "-3", " 4 ", "x", "y"])
@@ -575,7 +611,7 @@ def test_cli_import_leaves_process_pool_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, treelab.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -589,6 +625,7 @@ def test_module_entry_point(toy_csv, tmp_path):
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

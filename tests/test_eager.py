@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,11 +11,13 @@ from oracles import dump_tree
 from treelab import (
     RunMetrics,
     SplitParams,
+    bootstrap,
     build_tree,
     count_nodes,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,
+    mix_seed,
     predict_row,
     route_row,
 )
@@ -203,6 +206,31 @@ class TestFitPredictEager:
                                        on_visit=events.append)
         assert metrics.nodes_explored == 3
         assert metrics.model_words == 4 * 3
+
+    def test_peak_memory_holds_one_tree_whatever_b(self):
+        # Each tree is dropped once it is counted and routed, so going from
+        # b=1 to b=8 adds about one tree to the traced peak (the largest of
+        # eight trees in place of the first), not seven.
+        rng = np.random.default_rng(79)
+        data = random_dataset(rng, 300, 4, 0, 3)
+        train, test = np.arange(250), np.arange(250, 300)
+        params = SplitParams(min_count=1)
+        fit_predict_eager(data, train, test, 1, params, 5)  # fills process-wide caches
+
+        def traced(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                return result, tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        rows = bootstrap(train, mix_seed(5, 0))
+        tree, (tree_bytes, _) = traced(lambda: build_tree(data, rows, params, fresh_metrics()))
+        assert count_nodes(tree) > 100
+        peaks = {b: traced(lambda: fit_predict_eager(data, train, test, b, params, 5))[1][1]
+                 for b in (1, 8)}
+        assert peaks[8] - peaks[1] < 2 * tree_bytes
 
 
 @contextmanager

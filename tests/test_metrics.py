@@ -11,7 +11,6 @@ from treelab import (
     RunMetrics,
     SplitParams,
     build_tree,
-    cpu_timer,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,
@@ -99,24 +98,35 @@ class TestModelWords:
         assert metrics.model_words > metrics.peak_stack_words
 
 
-class TestCpuTimer:
-    def test_empty_scope_is_fast(self):
-        with cpu_timer() as clock:
-            pass
-        assert clock.seconds < 1e-3
+class TestFitCpuSeconds:
+    """A fit's ``cpu_seconds`` is the process CPU time of its bootstrap loop."""
+
+    def fit_with_visits(self, on_visit):
+        rng = np.random.default_rng(73)
+        data = random_dataset(rng, 40, 2, 0, 2)
+        visits = []
+
+        def visit(event):
+            visits.append(event)
+            on_visit()
+
+        _, metrics = fit_predict_batched(data, np.arange(30), np.arange(30, 40), 2,
+                                         SplitParams(min_count=2), 3, on_visit=visit)
+        return metrics.cpu_seconds, len(visits)
 
     def test_sleep_is_not_cpu_time(self):
-        with cpu_timer() as clock:
-            time.sleep(0.1)
-        assert clock.seconds < 0.05
+        cpu, visits = self.fit_with_visits(lambda: time.sleep(0.01))
+        assert visits >= 5
+        assert cpu < 0.5 * 0.01 * visits
 
     def test_busy_loop_registers(self):
-        with cpu_timer() as clock:
+        def spin():
             start = time.process_time()
-            total = 0
-            while time.process_time() - start < 0.02:
-                total += 1
-        assert clock.seconds >= 0.02
+            while time.process_time() - start < 0.005:
+                pass
+
+        cpu, visits = self.fit_with_visits(spin)
+        assert cpu >= 0.005 * visits
 
 
 class TestCrossAlgorithmCounters:
