@@ -7,12 +7,13 @@ root-to-leaf path per test observation; the batched lazy algorithm
 co-partitions training and test rows so every needed node is expanded
 exactly once.  All three share the same split function and bootstrap seeds
 and produce bit-identical prediction matrices.  ``__all__`` holds what the
-command line and the tests use; helpers such as ``valid_mask`` stay in
-their modules.
+command line and the tests import from the package; helpers such as
+``valid_mask``, ``ALGORITHMS`` and ``format_trace_line`` stay in their
+modules.
 """
 
 from .batched_lazy import fit_predict_batched
-from .bench import ALGORITHMS, run_cv
+from .bench import run_cv
 from .dataset import (
     Dataset,
     DatasetError,
@@ -24,7 +25,7 @@ from .dataset import (
 )
 from .eager_tree import build_tree, fit_predict_eager, predict_row, route_row
 from .lazy_paths import fit_predict_lazy
-from .metrics import RunMetrics, count_nodes, model_word_count
+from .metrics import RunMetrics, model_word_count
 from .rng import mix_seed
 from .splitcore import (
     Condition,
@@ -32,14 +33,10 @@ from .splitcore import (
     best_condition,
     entropy,
     information_gain,
-    is_pure,
-    majority_class,
     partition,
 )
-from .trace import format_trace_line
 
 __all__ = [
-    "ALGORITHMS",
     "Condition",
     "Dataset",
     "DatasetError",
@@ -49,17 +46,13 @@ __all__ = [
     "best_condition",
     "bootstrap",
     "build_tree",
-    "count_nodes",
     "entropy",
     "fit_predict_batched",
     "fit_predict_eager",
     "fit_predict_lazy",
-    "format_trace_line",
     "information_gain",
-    "is_pure",
     "load_csv",
     "load_prediction_rows",
-    "majority_class",
     "make_folds",
     "mix_seed",
     "model_word_count",

@@ -24,7 +24,6 @@ ALGORITHMS = {
 
 @dataclass(frozen=True)
 class CvResult:
-    algorithm: str
     metrics: RunMetrics
     accuracy: float
     fold_peaks: tuple[int, ...]
@@ -32,7 +31,7 @@ class CvResult:
 
 def run_fold(
     data: Dataset,
-    plan,
+    plan: np.ndarray,
     fold: int,
     algorithm: str,
     b: int,
@@ -45,8 +44,8 @@ def run_fold(
     sees the same bootstraps for the same fold.
     """
     _, fit = ALGORITHMS[algorithm]
-    test_rows = plan.test_rows(fold)
-    train_rows = plan.train_rows(fold)
+    test_rows = np.flatnonzero(plan == fold)
+    train_rows = np.flatnonzero(plan != fold)
     matrix, metrics = fit(data, train_rows, test_rows, b, params, mix_seed(seed, fold))
     predicted = np.argmax(matrix, axis=1)
     return metrics, int((predicted == data.labels[test_rows]).sum())
@@ -91,7 +90,6 @@ def run_cv(
         merged = merged.merge(metrics)
     correct = sum(fold_correct for _, fold_correct in outcomes)
     return CvResult(
-        algorithm=tag,
         metrics=merged,
         accuracy=correct / data.n_rows,  # make_folds puts every row in exactly one test fold
         fold_peaks=tuple(metrics.peak_stack_words for metrics, _ in outcomes),

@@ -155,14 +155,14 @@ def cmd_benchmark(args) -> int:
             result = run_cv(data, name, k, args.bootstraps, params, seed, jobs=args.jobs)
             cpu = result.metrics.cpu_seconds if args.timing == "cpu" else 0.0
             report_rows.append([
-                data.name, result.algorithm, k, args.bootstraps,
+                data.name, result.metrics.algorithm, k, args.bootstraps,
                 params.min_count, params.max_depth, seed,
                 repr(cpu), result.metrics.nodes_explored,
                 result.metrics.peak_stack_words, result.metrics.model_words,
                 repr(result.accuracy),
             ])
             plot_rows.append([
-                data.name, result.algorithm, k, repr(cpu),
+                data.name, result.metrics.algorithm, k, repr(cpu),
                 result.metrics.nodes_explored,
                 repr(float(np.mean(result.fold_peaks))),
                 max(result.fold_peaks),
@@ -222,10 +222,10 @@ def cmd_trace(args) -> int:
 def _add_common_params(parser, *, bootstraps_default: int) -> None:
     parser.add_argument("--bootstraps", type=int, default=bootstraps_default,
                         help=f"bootstrap count b (default {bootstraps_default})")
-    parser.add_argument("--min-count", type=int, default=5,
-                        help="minimum rows to expand a node (default 5)")
-    parser.add_argument("--max-depth", type=int, default=20,
-                        help="maximum exploration depth (default 20)")
+    parser.add_argument("--min-count", type=int, default=SplitParams.min_count,
+                        help="minimum rows to expand a node (default %(default)s)")
+    parser.add_argument("--max-depth", type=int, default=SplitParams.max_depth,
+                        help="maximum exploration depth (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed (TREELAB_SEED overrides)")
     parser.add_argument("--no-header", action="store_true",

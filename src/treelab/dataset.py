@@ -99,24 +99,6 @@ class Dataset:
         return np.arange(self.n_rows, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Assignment of every row to one cross-validation fold."""
-
-    assignment: np.ndarray
-
-    def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=np.int64)
-        object.__setattr__(self, "assignment", assignment)
-        assignment.setflags(write=False)
-
-    def test_rows(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.assignment == fold)[0].astype(np.int64)
-
-    def train_rows(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.assignment != fold)[0].astype(np.int64)
-
-
 def _read_rows(
     path, has_header: bool
 ) -> tuple[tuple[str, ...] | None, int, list[tuple[str, ...]]]:
@@ -158,7 +140,7 @@ def _encode_category(cells) -> tuple[list[int], tuple[str, ...]]:
     return encoded, tuple(codes)
 
 
-def load_csv(path, *, has_header: bool = True, name: str | None = None) -> Dataset:
+def load_csv(path, *, has_header: bool = True) -> Dataset:
     """Load a comma-separated dataset.
 
     The last column always holds the class labels and is treated as
@@ -195,7 +177,7 @@ def load_csv(path, *, has_header: bool = True, name: str | None = None) -> Datas
         raise DatasetError(f"{path}: need at least 2 distinct classes")
 
     return Dataset(
-        name=name if name is not None else Path(path).stem,
+        name=Path(path).stem,
         attr_names=attr_names,
         values=values,
         labels=np.asarray(label_codes, dtype=np.int64),
@@ -260,11 +242,12 @@ def as_test_matrix(data: Dataset, test) -> np.ndarray:
     raise ValueError("test must be row indices or an (n_s, n_attributes) matrix")
 
 
-def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
+def make_folds(n_rows: int, k: int, seed: int) -> np.ndarray:
     """Assign rows to ``k`` folds: deterministic shuffle, then round-robin.
 
-    Fold sizes differ by at most one, and the same ``(n_rows, k, seed)``
-    always yields the identical assignment.
+    Returns the read-only int64 fold of every row.  Fold sizes differ by at
+    most one, and the same ``(n_rows, k, seed)`` always yields the identical
+    assignment.
     """
     if not 2 <= k <= n_rows:
         raise ValueError(f"fold count {k} out of range [2, {n_rows}]")
@@ -275,7 +258,8 @@ def make_folds(n_rows: int, k: int, seed: int) -> FoldPlan:
         order[i], order[j] = order[j], order[i]
     assignment = np.empty(n_rows, dtype=np.int64)
     assignment[order] = np.arange(n_rows) % k
-    return FoldPlan(assignment=assignment)
+    assignment.setflags(write=False)
+    return assignment
 
 
 def bootstrap(train_indices, seed: int) -> np.ndarray:

@@ -3,14 +3,17 @@
 One tree per bootstrap sample.  A node stops expanding when the depth
 exceeds the maximum, the subset is smaller than the minimum count, the
 subset is pure, or no candidate condition has positive gain; otherwise it
-splits on the best condition.  :func:`walk` visits the nodes depth first,
-invalid side first, from an explicit stack, so the depth of a tree is not
-bounded by Python's recursion limit.
+splits on the best condition.  The walk decides both from the node's own
+class histogram: pure means one nonzero count, and a leaf's label is the
+majority class, ties going to the lowest class index.  :func:`walk` visits
+the nodes depth first, invalid side first, from an explicit stack, so the
+depth of a tree is not bounded by Python's recursion limit.
 
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
-eager one (``EAGER``) expands every child and builds the tree, counts its
-words and routes the test rows through it, then drops it; the batched and
-lazy ones expand only the children that still hold test rows.
+eager one (``EAGER``) expands every child and builds the tree, routes the
+test rows through it, then drops it; every node it explores is a tree node,
+so its model words follow from its node count.  The batched and lazy ones
+expand only the children that still hold test rows.
 :func:`fit_bagged` draws the bootstraps in one loop for every policy, and
 predictions average the per-tree class votes with weight ``1/b``.
 """
@@ -31,15 +34,13 @@ from .splitcore import (
     Condition,
     best_condition,
     class_histogram,
-    is_pure,
-    majority_class,
     partition,
     valid_mask,
 )
 from .trace import TraceEvent
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """Leaf (``label`` set) or internal node (``condition`` and two children)."""
 
@@ -110,10 +111,11 @@ def walk(
         if held > metrics.peak_stack_words:
             metrics.peak_stack_words = held
         hist = class_histogram(data, rows)
+        pure = np.count_nonzero(hist) == 1
         cond = None
-        if not (len(path) > params.max_depth or rows.size < params.min_count or is_pure(hist)):
+        if not (len(path) > params.max_depth or rows.size < params.min_count or pure):
             cond = best_condition(data, rows)
-        label = majority_class(hist) if cond is None else None
+        label = int(hist.argmax()) if cond is None else None
         if on_visit is not None:
             on_visit(
                 TraceEvent(
@@ -121,10 +123,7 @@ def walk(
                     path=path,
                     train_count=int(rows.size),
                     test_count=None if expand_all or per_row else int(positions.size),
-                    kind="leaf" if cond is None else "split",
-                    attribute=None if cond is None else cond.attribute,
-                    op=None if cond is None else cond.op,
-                    value=None if cond is None else cond.value,
+                    condition=cond,
                     label=label,
                     test_row=test_row,
                 )
@@ -221,7 +220,6 @@ def fit_bagged(
             # node of the build costs more than routing them afterwards.
             root = build_tree(data, rows, params, metrics,
                               on_visit=on_visit, bootstrap_index=i)
-            metrics.model_words += model_word_count([root])
             for j in range(n_test):
                 predictions[j, predict_row(root, test_matrix[j])] += share
             del root  # before the next build, so one tree is held at a time
@@ -232,6 +230,9 @@ def fit_bagged(
                 on_visit=on_visit, bootstrap_index=i,
                 test_matrix=test_matrix, positions=group, votes=predictions, share=share,
             )
+    if policy.expand_all:
+        # Every node the eager walk explores is a node of one of its trees.
+        metrics.model_words = model_word_count(metrics.nodes_explored)
     metrics.cpu_seconds = time.process_time() - start
     return predictions, metrics
 

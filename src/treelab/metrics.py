@@ -7,9 +7,11 @@ subset while its subtree is walked, so the stack words at a node are the sum
 of subset sizes along its root-to-node path; ``peak_stack_words`` is the
 largest such sum.  The walk computes it from its own frames
 (:func:`treelab.eager_tree.walk`); :class:`RunMetrics` only stores counters.
-The eager fit adds each tree's ``model_word_count`` as soon as the tree is
-built, and every fit's ``cpu_seconds`` is the ``time.process_time``
-(user plus system CPU of this process, sleep excluded) of its bootstrap loop.
+Every node the eager walk explores becomes a node of one of its trees, so
+the eager fit's ``model_words`` is ``model_word_count(nodes_explored)``,
+four words per explored node.  Every fit's ``cpu_seconds`` is the
+``time.process_time`` (user plus system CPU of this process, sleep excluded)
+of its bootstrap loop.
 """
 
 from __future__ import annotations
@@ -48,19 +50,6 @@ class RunMetrics:
         )
 
 
-def count_nodes(root) -> int:
-    """Nodes of one tree, leaves included."""
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if not node.is_leaf:
-            stack += (node.invalid_child, node.valid_child)
-    return count
-
-
-def model_word_count(trees) -> int:
-    """Words needed to store a bagged model: four per node over all its trees."""
-    return WORDS_PER_NODE * sum(count_nodes(root) for root in trees)
-
+def model_word_count(nodes: int) -> int:
+    """Words needed to store a bagged model of ``nodes`` tree nodes in all."""
+    return WORDS_PER_NODE * nodes

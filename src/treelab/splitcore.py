@@ -49,7 +49,7 @@ TABLE_ROWS = 512
 _TABLE_CHUNK = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """Binary test on one attribute; rows where it holds are the valid side."""
 
@@ -206,18 +206,6 @@ def information_gain(parent, invalid_side, valid_side) -> float:
         raise ValueError("side histograms must sum to the parent")
     gain = _gains(entropy(parent), parent, valid[:, None], valid.sum(keepdims=True))
     return float(gain[0])
-
-
-def majority_class(hist) -> int:
-    """Most frequent class; ties break to the lowest class index."""
-    counts = _check_histogram(hist)
-    return int(np.argmax(counts))
-
-
-def is_pure(hist) -> bool:
-    """True when exactly one class has a nonzero count."""
-    counts = _check_histogram(hist)
-    return int(np.count_nonzero(counts)) == 1
 
 
 def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:

@@ -3,12 +3,16 @@
 Each algorithm can report every node visit to an ``on_visit`` callback.  A
 node is identified by its branch path from the root: a tuple of 0 (invalid
 side) and 1 (valid side), so traces from different algorithms over the same
-bootstrap are directly comparable.
+bootstrap are directly comparable.  An event carries the node's split
+:class:`~treelab.splitcore.Condition`, or ``None`` at a leaf; its kind and
+depth are derived from the condition and the path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .splitcore import Condition
 
 TRACE_HEADER = "# depth\tpath\ttrain\ttest\trow\taction"
 
@@ -19,12 +23,13 @@ class TraceEvent:
     path: tuple[int, ...]
     train_count: int
     test_count: int | None
-    kind: str  # "split" | "leaf"
-    attribute: int | None = None
-    op: str | None = None
-    value: float | None = None
-    label: int | None = None
-    test_row: int | None = None
+    condition: Condition | None
+    label: int | None
+    test_row: int | None
+
+    @property
+    def kind(self) -> str:
+        return "leaf" if self.condition is None else "split"
 
     @property
     def depth(self) -> int:
@@ -38,10 +43,11 @@ def path_string(path: tuple[int, ...]) -> str:
 
 
 def format_trace_line(event: TraceEvent) -> str:
-    if event.kind == "split":
-        action = f"split {event.attribute} {event.op} {event.value!r}"
-    else:
+    cond = event.condition
+    if cond is None:
         action = f"leaf {event.label}"
+    else:
+        action = f"split {cond.attribute} {cond.op} {cond.value!r}"
     test = "-" if event.test_count is None else str(event.test_count)
     row = "-" if event.test_row is None else str(event.test_row)
     return (

@@ -133,6 +133,18 @@ def peak_chain_words(node_sizes_by_path):
     return best
 
 
+def count_nodes(root):
+    """Nodes of one tree, leaves included."""
+    count = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if not node.is_leaf:
+            stack += (node.invalid_child, node.valid_child)
+    return count
+
+
 def dump_tree(root):
     """Preorder plain-text serialization: `L <class>` / `I <attr> <op> <value>`."""
     lines = []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import find_full_coverage_seed, random_dataset
 from treelab import SplitParams, bench, cli, load_csv, run_cv
 from treelab.cli import (
     EXIT_BAD_PARAMS,
@@ -75,28 +75,49 @@ def test_benchmark_defaults_match_protocol():
     assert args.jobs == 1 and args.timing == "cpu" and args.seed == 0
 
 
-def test_trace_golden_lines(tmp_path):
-    # toy 4-row set, test rows on both sides of the 2.5 split
-    train = tmp_path / "train.csv"
-    train.write_text("a,label\n1,A\n2,A\n3,B\n4,B\n")
-    test = tmp_path / "test.csv"
-    test.write_text("a\n1\n4\n")
-    out = tmp_path / "trace.txt"
-    from conftest import find_full_coverage_seed
-
-    seed = find_full_coverage_seed(4)
-    code = main([
-        "trace", "--train", str(train), "--test", str(test),
-        "--algorithm", "batched", "--min-count", "1", "--seed", str(seed),
-        "--out", str(out),
-    ])
-    assert code == 0
-    assert out.read_text().splitlines() == [
-        "# depth\tpath\ttrain\ttest\trow\taction",
+TRACE_HEADER_LINE = "# depth\tpath\ttrain\ttest\trow\taction"
+NUMERIC_TOY = ("a,label\n1,A\n2,A\n3,B\n4,B\n", "a\n1\n4\n")
+CATEGORICAL_TOY = ("c,label\nx,A\ny,B\nx,A\ny,B\n", "c\ny\nx\n")
+# (train and test CSV, algorithm, trace lines after the header); the test
+# rows of each toy fall on both sides of its one split
+TRACE_CASES = [
+    (NUMERIC_TOY, "batched", [
         "0\t-\t4\t2\t-\tsplit 0 le 2.5",
         "1\ti\t2\t1\t-\tleaf 1",
         "1\tv\t2\t1\t-\tleaf 0",
-    ]
+    ]),
+    (CATEGORICAL_TOY, "batched", [
+        "0\t-\t4\t2\t-\tsplit 0 eq 0.0",
+        "1\ti\t2\t1\t-\tleaf 1",
+        "1\tv\t2\t1\t-\tleaf 0",
+    ]),
+    (NUMERIC_TOY, "dt", [
+        "0\t-\t4\t-\t-\tsplit 0 le 2.5",
+        "1\ti\t2\t-\t-\tleaf 1",
+        "1\tv\t2\t-\t-\tleaf 0",
+    ]),
+    (CATEGORICAL_TOY, "lazy", [
+        "0\t-\t4\t-\t0\tsplit 0 eq 0.0",
+        "1\ti\t2\t-\t0\tleaf 1",
+        "0\t-\t4\t-\t1\tsplit 0 eq 0.0",
+        "1\tv\t2\t-\t1\tleaf 0",
+    ]),
+]
+
+
+def test_trace_golden_lines(tmp_path):
+    seed = find_full_coverage_seed(4)
+    train, test, out = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "trace.txt"
+    for (train_text, test_text), algorithm, lines in TRACE_CASES:
+        train.write_text(train_text)
+        test.write_text(test_text)
+        code = main([
+            "trace", "--train", str(train), "--test", str(test),
+            "--algorithm", algorithm, "--min-count", "1", "--seed", str(seed),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text().splitlines() == [TRACE_HEADER_LINE] + lines, algorithm
 
 
 class TestFoldSpec:

@@ -189,17 +189,15 @@ class TestLoaderMatchesReference:
 class TestMakeFolds:
     def test_even_split(self):
         plan = make_folds(6, 3, seed=1)
-        sizes = [plan.test_rows(f).size for f in range(3)]
-        assert sizes == [2, 2, 2]
+        assert np.bincount(plan).tolist() == [2, 2, 2]
 
     def test_remainder_distribution(self):
         plan = make_folds(7, 3, seed=42)
-        sizes = sorted(plan.test_rows(f).size for f in range(3))
-        assert sizes == [2, 2, 3]
+        assert sorted(np.bincount(plan).tolist()) == [2, 2, 3]
 
     def test_leave_one_out(self):
         plan = make_folds(569, 569, seed=1)
-        assert all(plan.test_rows(f).size == 1 for f in range(569))
+        assert np.bincount(plan).tolist() == [1] * 569
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -215,14 +213,14 @@ class TestMakeFolds:
     @settings(max_examples=60, deadline=None)
     def test_partition_properties(self, n, k, seed):
         k = min(k, n)
-        plan = make_folds(n, k, seed)
-        assignment = plan.assignment
+        assignment = make_folds(n, k, seed)
+        assert assignment.dtype == np.int64 and not assignment.flags.writeable
         assert assignment.size == n
         assert assignment.min() >= 0 and assignment.max() < k
         sizes = np.bincount(assignment, minlength=k)
         assert sizes.max() - sizes.min() <= 1
         again = make_folds(n, k, seed)
-        assert np.array_equal(assignment, again.assignment)
+        assert np.array_equal(assignment, again)
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("n", [2, 7, 569, 18_000])
@@ -237,13 +235,13 @@ class TestMakeFolds:
         want = [0] * n
         for position, row in enumerate(order):
             want[row] = position % k
-        assert make_folds(n, k, seed).assignment.tolist() == want
+        assert make_folds(n, k, seed).tolist() == want
 
     def test_train_test_complement(self):
+        # The test folds together hold every row exactly once.
         plan = make_folds(11, 4, seed=9)
-        for f in range(4):
-            merged = np.sort(np.concatenate([plan.test_rows(f), plan.train_rows(f)]))
-            assert np.array_equal(merged, np.arange(11))
+        merged = np.sort(np.concatenate([np.flatnonzero(plan == f) for f in range(4)]))
+        assert np.array_equal(merged, np.arange(11))
 
 
 class TestBootstrap:

@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -7,13 +8,13 @@ import pytest
 
 import oracles
 from conftest import dataset_from_arrays, find_full_coverage_seed, random_dataset
-from oracles import dump_tree
+from oracles import count_nodes, dump_tree
 from treelab import (
     RunMetrics,
     SplitParams,
     bootstrap,
     build_tree,
-    count_nodes,
+    eager_tree,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,
@@ -66,6 +67,28 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree(toy4, [], SplitParams(), fresh_metrics())
 
+    def test_leaf_takes_strict_majority(self):
+        data = dataset_from_arrays([[1.0], [2.0], [3.0], [4.0]], [1, 2, 1, 0])
+        tree = build_tree(data, np.arange(4), SplitParams(min_count=5), fresh_metrics())
+        assert tree.is_leaf and tree.label == 1
+
+    def test_leaf_tie_goes_to_lowest_class(self):
+        data = dataset_from_arrays([[float(v)] for v in range(5)], [2, 1, 2, 1, 0])
+        tree = build_tree(data, np.arange(5), SplitParams(min_count=6), fresh_metrics())
+        assert tree.is_leaf and tree.label == 1
+
+    def test_pure_node_is_leaf_at_min_count_one(self, monkeypatch):
+        # Purity alone stops the walk: no split search runs on a pure node.
+        def no_search(data, rows):
+            raise AssertionError("split search on a pure node")
+
+        monkeypatch.setattr(eager_tree, "best_condition", no_search)
+        data = dataset_from_arrays([[1.0], [2.0], [3.0]], [1, 1, 1])
+        metrics = fresh_metrics()
+        tree = build_tree(data, np.arange(3), SplitParams(min_count=1), metrics)
+        assert tree.is_leaf and tree.label == 1
+        assert metrics.nodes_explored == 1
+
     def test_no_gain_becomes_leaf(self):
         # Impure rows with a constant attribute cannot split.
         data = dataset_from_arrays([[1.0], [1.0], [1.0]], [0, 1, 1])
@@ -88,11 +111,9 @@ class TestBuildTree:
                 assert event.train_count == len(rows)
                 assert event.kind == kind
                 if kind == "split":
-                    assert (event.attribute, event.op, event.value) == (
-                        payload.attribute, payload.op, payload.value,
-                    )
+                    assert event.condition == payload and event.label is None
                 else:
-                    assert event.label == payload
+                    assert event.condition is None and event.label == payload
 
 
 class TestPredictRow:
@@ -231,6 +252,27 @@ class TestFitPredictEager:
         peaks = {b: traced(lambda: fit_predict_eager(data, train, test, b, params, 5))[1][1]
                  for b in (1, 8)}
         assert peaks[8] - peaks[1] < 2 * tree_bytes
+
+    def test_tree_holds_few_bytes_per_node(self):
+        # The cost model charges four words a node.  A node and its condition
+        # declared with slots hold ~95 bytes; with an instance __dict__ each,
+        # ~155.  Caches and free lists, which tracemalloc counts as allocated,
+        # are filled by a first build, and blocks allocated inside numpy are
+        # left out: numpy keeps freed small buffers in caches of its own.
+        rng = np.random.default_rng(79)
+        data = random_dataset(rng, 300, 4, 0, 3)
+        rows = bootstrap(np.arange(250), mix_seed(5, 0))
+        params = SplitParams(min_count=1)
+        build_tree(data, rows, params, fresh_metrics())
+        numpy_files = tracemalloc.Filter(False, os.path.dirname(np.__file__) + "/*")
+        tracemalloc.start()
+        try:
+            tree = build_tree(data, rows, params, fresh_metrics())
+            snapshot = tracemalloc.take_snapshot().filter_traces([numpy_files])
+        finally:
+            tracemalloc.stop()
+        tree_bytes = sum(stat.size for stat in snapshot.statistics("filename"))
+        assert tree_bytes / count_nodes(tree) < 150
 
 
 @contextmanager

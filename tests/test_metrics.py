@@ -10,13 +10,14 @@ from conftest import dataset_from_arrays, random_dataset
 from treelab import (
     RunMetrics,
     SplitParams,
+    bootstrap,
     build_tree,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,
+    mix_seed,
     model_word_count,
 )
-from treelab.eager_tree import TreeNode
 
 
 class TestFrameAccounting:
@@ -82,12 +83,21 @@ class TestMerge:
 
 class TestModelWords:
     def test_single_leaf(self):
-        assert model_word_count([TreeNode(label=0)]) == 4
+        assert model_word_count(1) == 4
 
-    def test_linear_in_bootstraps(self, toy4):
-        metrics = RunMetrics("DT")
-        tree = build_tree(toy4, np.arange(4), SplitParams(min_count=1), metrics)
-        assert model_word_count([tree] * 100) == 1200
+    def test_linear_in_bootstraps(self):
+        # A b=100 fit's model words are four per node of its 100 trees, each
+        # rebuilt from its bootstrap and counted independently of the fit.
+        rng = np.random.default_rng(37)
+        data = random_dataset(rng, 40, 3, 1, 3)
+        train, params, seed = np.arange(30), SplitParams(min_count=2), 13
+        _, metrics = fit_predict_eager(data, train, np.arange(30, 40), 100, params, seed)
+        nodes = sum(
+            oracles.count_nodes(build_tree(data, bootstrap(train, mix_seed(seed, i)),
+                                           params, RunMetrics("DT")))
+            for i in range(100)
+        )
+        assert metrics.model_words == 4 * nodes
 
     def test_model_words_far_exceed_stack_words(self, breast):
         # 100 bootstrapped trees cost vastly more words to store than the

@@ -20,8 +20,6 @@ from treelab import (
     fit_predict_eager,
     fit_predict_lazy,
     information_gain,
-    is_pure,
-    majority_class,
     partition,
     splitcore,
 )
@@ -114,28 +112,6 @@ class TestInformationGain:
         gain = information_gain(parent, invalid, valid)
         assert gain >= -1e-12
         assert gain == pytest.approx(oracles.info_gain(parent, invalid, valid), abs=1e-12)
-
-
-class TestMajorityAndPurity:
-    def test_majority_strict(self):
-        assert majority_class([5, 3]) == 0
-
-    def test_majority_tie_breaks_low(self):
-        assert majority_class([2, 2]) == 0
-
-    def test_majority_single_nonzero(self):
-        assert majority_class([0, 0, 7]) == 2
-
-    def test_is_pure(self):
-        assert is_pure([4, 0])
-        assert not is_pure([3, 1])
-        assert is_pure([1, 0, 0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            majority_class([0, 0])
-        with pytest.raises(ValueError):
-            is_pure([0])
 
 
 class TestPartition:
