@@ -1,10 +1,10 @@
 """Bagged decision trees three ways, with node and memory instrumentation.
 
 All three algorithms are one tree walk with three expansion policies, over
-the same bootstraps drawn in one loop: the eager algorithm expands every
-node and builds full trees before predicting; the lazy algorithm grows one
-root-to-leaf path per test observation; the batched lazy algorithm
-co-partitions training and test rows so every needed node is expanded
+the same bootstraps drawn in one loop, and each walk co-partitions the
+training and test rows: the eager algorithm expands every node and builds
+full trees; the lazy algorithm grows one root-to-leaf path per test
+observation; the batched lazy algorithm expands every node a test row needs
 exactly once.  All three share the same split function and bootstrap seeds
 and produce bit-identical prediction matrices.  ``__all__`` holds what the
 command line and the tests import from the package; helpers such as
@@ -23,7 +23,7 @@ from .dataset import (
     load_prediction_rows,
     make_folds,
 )
-from .eager_tree import build_tree, fit_predict_eager, predict_row, route_row
+from .eager_tree import build_tree, fit_predict_eager, predict_row
 from .lazy_paths import fit_predict_lazy
 from .metrics import RunMetrics, model_word_count
 from .rng import mix_seed
@@ -58,6 +58,5 @@ __all__ = [
     "model_word_count",
     "partition",
     "predict_row",
-    "route_row",
     "run_cv",
 ]

@@ -10,10 +10,11 @@ the nodes depth first, invalid side first, from an explicit stack, so the
 depth of a tree is not bounded by Python's recursion limit.
 
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
-eager one (``EAGER``) expands every child and builds the tree, routes the
-test rows through it, then drops it; every node it explores is a tree node,
-so its model words follow from its node count.  The batched and lazy ones
-expand only the children that still hold test rows.
+eager one (``EAGER``) expands every child and builds the tree, then drops
+it; every node it explores is a tree node, so its model words follow from
+its node count.  The batched and lazy ones expand only the children that
+still hold test rows.  Under all three the test rows go down with the
+training rows and vote at the leaves they reach, one visit a node per tree.
 :func:`fit_bagged` draws the bootstraps in one loop for every policy, and
 predictions average the per-tree class votes with weight ``1/b``.
 """
@@ -58,8 +59,8 @@ class WalkPolicy(NamedTuple):
     """Which children a walk expands, and how it accounts for and reports a node."""
 
     algorithm: str  # tag of the run metrics
-    # Expand every child and keep the tree; no test rows ride along.  Otherwise
-    # a child is expanded only when some of the walk's test rows fall on its side.
+    # Expand every child and keep the tree, whether or not test rows reach it;
+    # otherwise only the children some of the walk's test rows fall on.
     expand_all: bool
     # One test row per walk: events name that row instead of a test count, and
     # the bootstrap alone holds stack words, not each node.
@@ -76,12 +77,12 @@ def walk(
     metrics: RunMetrics,
     policy: WalkPolicy,
     *,
+    test_matrix: np.ndarray,
+    positions: np.ndarray,
+    votes: np.ndarray,
+    share: float,
     on_visit=None,
     bootstrap_index: int = 0,
-    test_matrix: np.ndarray | None = None,
-    positions: np.ndarray | None = None,
-    votes: np.ndarray | None = None,
-    share: float = 0.0,
 ) -> TreeNode | None:
     """Visit the nodes of one tree that ``policy`` expands, in preorder, from depth 0.
 
@@ -93,10 +94,11 @@ def walk(
     path.  A per-row walk holds the bootstrap from the root on and adds
     nothing per node: its subsets reuse those words.
 
-    Under ``expand_all`` the walk fills in and returns a :class:`TreeNode`
-    tree.  Otherwise ``positions`` index rows of ``test_matrix``: they are
-    split by the same condition as the training rows, and a leaf adds
-    ``share`` to ``votes[positions, label]``; the walk returns ``None``.
+    ``positions`` index rows of ``test_matrix``: they are split by the same
+    condition as the training rows, and a leaf adds ``share`` to
+    ``votes[positions, label]``.  Under ``expand_all`` the walk also pushes
+    the children no test row reaches, and fills in and returns a
+    :class:`TreeNode` tree; otherwise it returns ``None``.
     """
     expand_all = policy.expand_all
     per_row = policy.per_row
@@ -131,21 +133,19 @@ def walk(
         if expand_all:
             node.label, node.condition = label, cond
         if cond is None:
-            if not expand_all:
-                votes[positions, label] += share
+            votes[positions, label] += share
             continue
         invalid_rows, valid_rows = partition(cond, data, rows)
-        # Pushed valid side first, so the invalid subtree is visited first.
-        if expand_all:
-            node.invalid_child, node.valid_child = TreeNode(), TreeNode()
-            stack.append((valid_rows, None, path + (1,), node.valid_child, held))
-            stack.append((invalid_rows, None, path + (0,), node.invalid_child, held))
-            continue
         mask = valid_mask(cond, test_matrix[positions, cond.attribute])
-        if mask.any():
-            stack.append((valid_rows, positions[mask], path + (1,), None, held))
-        if not mask.all():
-            stack.append((invalid_rows, positions[~mask], path + (0,), None, held))
+        invalid_node = valid_node = None
+        if expand_all:
+            invalid_node = node.invalid_child = TreeNode()
+            valid_node = node.valid_child = TreeNode()
+        # Pushed valid side first, so the invalid subtree is visited first.
+        if expand_all or mask.any():
+            stack.append((valid_rows, positions[mask], path + (1,), valid_node, held))
+        if expand_all or not mask.all():
+            stack.append((invalid_rows, positions[~mask], path + (0,), invalid_node, held))
     return root
 
 
@@ -162,28 +162,22 @@ def build_tree(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot build a tree node from zero rows")
-    return walk(
-        data, rows, params, metrics, EAGER, on_visit=on_visit, bootstrap_index=bootstrap_index
-    )
+    no_test = np.empty(0, dtype=np.int64)
+    return walk(data, rows, params, metrics, EAGER, test_matrix=data.values[no_test],
+                positions=no_test, votes=np.empty((0, data.class_count)), share=0.0,
+                on_visit=on_visit, bootstrap_index=bootstrap_index)
 
 
 def predict_row(tree: TreeNode, row: np.ndarray) -> int:
-    """Follow valid/invalid branches until a leaf; return its class."""
-    return route_row(tree, row)[0]
+    """Follow valid/invalid branches until a leaf; return its class.
 
-
-def route_row(tree: TreeNode, row: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """The class of the leaf ``row`` reaches, and the branch path taken."""
+    The fits do not call this: they route their test rows in :func:`walk`.
+    """
     node = tree
-    path: tuple[int, ...] = ()
     while not node.is_leaf:
-        if valid_mask(node.condition, row[node.condition.attribute]):
-            node = node.valid_child
-            path += (1,)
-        else:
-            node = node.invalid_child
-            path += (0,)
-    return node.label, path
+        cond = node.condition
+        node = node.valid_child if valid_mask(cond, row[cond.attribute]) else node.invalid_child
+    return node.label
 
 
 def fit_bagged(
@@ -215,20 +209,12 @@ def fit_bagged(
     start = time.process_time()
     for i in range(b):
         rows = bootstrap(train_rows, mix_seed(base_seed, i))
-        if policy.expand_all:
-            # Build, then route: partitioning the test rows alongside every
-            # node of the build costs more than routing them afterwards.
-            root = build_tree(data, rows, params, metrics,
-                              on_visit=on_visit, bootstrap_index=i)
-            for j in range(n_test):
-                predictions[j, predict_row(root, test_matrix[j])] += share
-            del root  # before the next build, so one tree is held at a time
-            continue
         for group in groups:
+            # The eager walk's tree is dropped here, so one is held at a time.
             walk(
                 data, rows, params, metrics, policy,
-                on_visit=on_visit, bootstrap_index=i,
                 test_matrix=test_matrix, positions=group, votes=predictions, share=share,
+                on_visit=on_visit, bootstrap_index=i,
             )
     if policy.expand_all:
         # Every node the eager walk explores is a node of one of its trees.

@@ -39,7 +39,7 @@ import numpy as np
 from .dataset import Dataset
 
 # Cells (rows x attributes) sorted together in one block of a split search;
-# bounds the search's temporaries whatever the node size.
+# bounds the per-block sort and count temporaries, not the node's value copy.
 BLOCK_CELLS = 4096
 
 # Largest two-class node whose side entropies come from the table; the table

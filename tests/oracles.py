@@ -57,13 +57,27 @@ def iter_candidates(data, rows):
                 yield Condition(attribute=attribute, op="eq", value=code)
 
 
+def holds(cond, cell):
+    cell = float(cell)
+    return cell <= cond.value if cond.op == "le" else cell == cond.value
+
+
 def split_rows(data, rows, cond):
     invalid, valid = [], []
     for r in rows:
-        cell = float(data.values[r, cond.attribute])
-        holds = cell <= cond.value if cond.op == "le" else cell == cond.value
-        (valid if holds else invalid).append(r)
+        (valid if holds(cond, data.values[r, cond.attribute]) else invalid).append(r)
     return invalid, valid
+
+
+def route_row(tree, row):
+    """The class of the leaf ``row`` reaches in ``tree``, and the branch path taken."""
+    node, path = tree, ()
+    while not node.is_leaf:
+        if holds(node.condition, row[node.condition.attribute]):
+            node, path = node.valid_child, path + (1,)
+        else:
+            node, path = node.invalid_child, path + (0,)
+    return node.label, path
 
 
 def gain_of(data, rows, cond):

@@ -22,7 +22,6 @@ from treelab import (
     fit_predict_eager,
     fit_predict_lazy,
     mix_seed,
-    route_row,
     run_cv,
 )
 from treelab.cli import main as cli_main
@@ -189,7 +188,7 @@ def test_criterion_4_visited_set_union():
                 # eager subtree reachable by the test rows
                 reachable = set()
                 for row in test:
-                    _, path = route_row(trees[i], data.values[row])
+                    _, path = oracles.route_row(trees[i], data.values[row])
                     reachable.update(path[:depth] for depth in range(len(path) + 1))
                 assert set(batched_paths) == reachable, f"trial {trial}"
 

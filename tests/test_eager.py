@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import dataset_from_arrays, find_full_coverage_seed, random_dataset
-from oracles import count_nodes, dump_tree
+from oracles import count_nodes, dump_tree, route_row
 from treelab import (
     RunMetrics,
     SplitParams,
@@ -20,7 +20,6 @@ from treelab import (
     fit_predict_lazy,
     mix_seed,
     predict_row,
-    route_row,
 )
 from treelab.eager_tree import TreeNode
 
@@ -228,42 +227,13 @@ class TestFitPredictEager:
         assert metrics.nodes_explored == 3
         assert metrics.model_words == 4 * 3
 
-    def test_peak_memory_holds_one_tree_whatever_b(self):
-        # Each tree is dropped once it is counted and routed, so going from
-        # b=1 to b=8 adds about one tree to the traced peak (the largest of
-        # eight trees in place of the first), not seven.
-        rng = np.random.default_rng(79)
-        data = random_dataset(rng, 300, 4, 0, 3)
-        train, test = np.arange(250), np.arange(250, 300)
-        params = SplitParams(min_count=1)
-        fit_predict_eager(data, train, test, 1, params, 5)  # fills process-wide caches
+    @staticmethod
+    def built_tree_bytes(data, rows, params):
+        """A tree built over ``rows``, and the bytes held once its build returns.
 
-        def traced(call):
-            tracemalloc.start()
-            try:
-                result = call()
-                return result, tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-
-        rows = bootstrap(train, mix_seed(5, 0))
-        tree, (tree_bytes, _) = traced(lambda: build_tree(data, rows, params, fresh_metrics()))
-        assert count_nodes(tree) > 100
-        peaks = {b: traced(lambda: fit_predict_eager(data, train, test, b, params, 5))[1][1]
-                 for b in (1, 8)}
-        assert peaks[8] - peaks[1] < 2 * tree_bytes
-
-    def test_tree_holds_few_bytes_per_node(self):
-        # The cost model charges four words a node.  A node and its condition
-        # declared with slots hold ~95 bytes; with an instance __dict__ each,
-        # ~155.  Caches and free lists, which tracemalloc counts as allocated,
-        # are filled by a first build, and blocks allocated inside numpy are
-        # left out: numpy keeps freed small buffers in caches of its own.
-        rng = np.random.default_rng(79)
-        data = random_dataset(rng, 300, 4, 0, 3)
-        rows = bootstrap(np.arange(250), mix_seed(5, 0))
-        params = SplitParams(min_count=1)
-        build_tree(data, rows, params, fresh_metrics())
+        Blocks allocated inside numpy are left out: numpy keeps freed small
+        buffers in caches of its own, which tracemalloc counts as allocated.
+        """
         numpy_files = tracemalloc.Filter(False, os.path.dirname(np.__file__) + "/*")
         tracemalloc.start()
         try:
@@ -271,8 +241,74 @@ class TestFitPredictEager:
             snapshot = tracemalloc.take_snapshot().filter_traces([numpy_files])
         finally:
             tracemalloc.stop()
-        tree_bytes = sum(stat.size for stat in snapshot.statistics("filename"))
+        return tree, sum(stat.size for stat in snapshot.statistics("filename"))
+
+    def test_peak_memory_holds_one_tree_whatever_b(self):
+        # Each tree is dropped once its walk has built it and voted with the
+        # test rows, so going from b=1 to b=8 adds about one tree to the
+        # traced peak (the largest of eight trees in place of the first), not
+        # seven.  A first b=8 fit fills the process-wide caches and free lists,
+        # which grow with the largest tree and tracemalloc counts as allocated.
+        rng = np.random.default_rng(79)
+        data = random_dataset(rng, 300, 4, 0, 3)
+        train, test = np.arange(250), np.arange(250, 300)
+        params = SplitParams(min_count=1)
+        fit_predict_eager(data, train, test, 8, params, 5)
+
+        def traced_peak(b):
+            tracemalloc.start()
+            try:
+                fit_predict_eager(data, train, test, b, params, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tree, tree_bytes = self.built_tree_bytes(data, bootstrap(train, mix_seed(5, 0)), params)
+        assert count_nodes(tree) > 100
+        assert traced_peak(8) - traced_peak(1) < 2 * tree_bytes
+
+    def test_tree_holds_few_bytes_per_node(self):
+        # The cost model charges four words a node.  A node and its condition
+        # declared with slots hold ~95 bytes; with an instance __dict__ each,
+        # ~155.  Caches and free lists, which tracemalloc counts as allocated,
+        # are filled by a first build.
+        rng = np.random.default_rng(79)
+        data = random_dataset(rng, 300, 4, 0, 3)
+        rows = bootstrap(np.arange(250), mix_seed(5, 0))
+        params = SplitParams(min_count=1)
+        build_tree(data, rows, params, fresh_metrics())
+        tree, tree_bytes = self.built_tree_bytes(data, rows, params)
         assert tree_bytes / count_nodes(tree) < 150
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("min_count", [1, 5])
+    def test_votes_equal_per_row_routes_through_built_trees(self, b, min_count):
+        # The fit routes its test rows inside the walk that builds each tree;
+        # the oracle routes them one at a time through the same trees, built
+        # on their own.  Test rows hold a category code no training row has
+        # (-1), and some subtrees are reached by no test row: the fit still
+        # explores every node of every tree.
+        rng = np.random.default_rng(61)
+        data = random_dataset(rng, 90, 2, 2, 3)
+        train = np.arange(60)
+        test = data.values[60:].copy()
+        test[::3, 3] = -1.0
+        params = SplitParams(min_count=min_count)
+        share = 1.0 / b
+        expected = np.zeros((len(test), data.class_count))
+        nodes = reached_nodes = 0
+        for i in range(b):
+            tree = build_tree(data, bootstrap(train, mix_seed(17, i)), params, fresh_metrics())
+            reached = set()
+            for j, row in enumerate(test):
+                label, path = route_row(tree, row)
+                expected[j, label] += share
+                reached.update(path[:depth] for depth in range(len(path) + 1))
+            nodes += count_nodes(tree)
+            reached_nodes += len(reached)
+        matrix, metrics = fit_predict_eager(data, train, test, b, params, 17)
+        assert matrix.tobytes() == expected.tobytes()
+        assert reached_nodes < nodes == metrics.nodes_explored
 
 
 @contextmanager

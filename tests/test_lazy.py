@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import dataset_from_arrays, find_full_coverage_seed, random_dataset
+from oracles import route_row
 from treelab import (
     RunMetrics,
     SplitParams,
@@ -11,7 +12,6 @@ from treelab import (
     fit_predict_lazy,
 )
 from treelab.dataset import bootstrap
-from treelab.eager_tree import route_row
 from treelab.rng import mix_seed
 
 
