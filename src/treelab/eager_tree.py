@@ -116,7 +116,7 @@ def walk(
         pure = np.count_nonzero(hist) == 1
         cond = None
         if not (len(path) > params.max_depth or rows.size < params.min_count or pure):
-            cond = best_condition(data, rows)
+            cond = best_condition(data, rows, hist)
         label = int(hist.argmax()) if cond is None else None
         if on_visit is not None:
             on_visit(

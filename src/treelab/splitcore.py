@@ -12,7 +12,9 @@ A search scores all attributes of a node together, in blocks of at most
 per run of equal values, and one gain evaluation over every candidate of the
 block.  Only the per-run class counts and values are read, so whether the
 sort is stable does not matter, and the candidates, their gains and the
-tie-break are those of a search that takes one attribute at a time.
+tie-break are those of a search that takes one attribute at a time.  A
+caller that has just counted the node's class histogram passes it as
+``hist``, and the search does not count it again.
 
 Class counts are class-major, a ``(classes, groups)`` array, so every step of
 the gain pass runs over long contiguous rows.  The entropy's sum over classes
@@ -21,10 +23,14 @@ contiguous row of doubles (:func:`_class_sum`): the gains equal those of a
 per-group ``sum(axis=1)`` bit for bit, and the order is pinned here rather
 than left to numpy.
 
-Two-class nodes of up to ``TABLE_ROWS`` rows read their side entropies from
-a table built once per process, by :func:`_entropies` itself, the first time
-such a node is searched: a two-class side's entropy depends only on its size
-and its class-0 count.  The gains are the same doubles as on the direct
+Two-class nodes of up to ``TABLE_ROWS`` rows need only class-0 counts.  A
+block takes one running count of class-0 rows in sort order, which restarts
+on each attribute row: a numeric group's valid side reads it at the group's
+last cell, and a categorical group subtracts the count just before its
+start, none at the start of a row.  The node's entropy and its sides' come
+from a table built once per process, by :func:`_entropies` itself, the first
+time such a node is searched: a two-class side's entropy depends only on its
+size and its class-0 count.  The gains are the same doubles as on the direct
 path, which larger nodes and nodes of other class counts keep.
 """
 
@@ -162,6 +168,21 @@ def _entropy_table() -> np.ndarray:
     return table
 
 
+def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
+                 n_valid: np.ndarray) -> np.ndarray:
+    """Information gains of a two-class node of at most ``TABLE_ROWS`` rows.
+
+    ``parent0`` is the node's class-0 count; each candidate's valid side
+    holds ``n_valid`` rows, ``valid0`` of them of class 0, and its invalid
+    side is the rest of the node.  Both side entropies come from the table.
+    """
+    table = _entropy_table()
+    n_invalid = n - n_valid
+    e_invalid = table[_tri(n_invalid) + (parent0 - valid0)]
+    e_valid = table[_tri(n_valid) + valid0]
+    return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
+
+
 def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
            n_valid: np.ndarray) -> np.ndarray:
     """Information gain of each column of a ``(classes, k)`` valid-side matrix.
@@ -169,23 +190,20 @@ def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
     ``parent`` is the class histogram of all rows, ``parent_entropy`` its
     entropy and ``n_valid`` the column sums of ``valid``; the invalid side
     is the rest of the parent.  A two-class node of at most ``TABLE_ROWS``
-    rows reads only the class-0 row of ``valid``.
+    rows reads only the class-0 row of ``valid``, from :func:`_table_gains`.
     """
     n = parent.sum()
-    n_invalid = n - n_valid
     if parent.size == 2 and n <= TABLE_ROWS:
-        table = _entropy_table()
-        e_invalid = table[_tri(n_invalid) + (parent[0] - valid[0])]
-        e_valid = table[_tri(n_valid) + valid[0]]
-    else:
-        # Both sides in one entropy pass, invalid columns first; columns are
-        # reduced independently.
-        k = n_valid.size
-        sides = np.empty((parent.size, 2 * k))
-        np.subtract(parent[:, None], valid, out=sides[:, :k])
-        sides[:, k:] = valid
-        entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
-        e_invalid, e_valid = entropies[:k], entropies[k:]
+        return _table_gains(parent_entropy, n, parent[0], valid[0], n_valid)
+    n_invalid = n - n_valid
+    # Both sides in one entropy pass, invalid columns first; columns are
+    # reduced independently.
+    k = n_valid.size
+    sides = np.empty((parent.size, 2 * k))
+    np.subtract(parent[:, None], valid, out=sides[:, :k])
+    sides[:, k:] = valid
+    entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
+    e_invalid, e_valid = entropies[:k], entropies[k:]
     return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
 
 
@@ -222,12 +240,14 @@ def partition(cond: Condition, data: Dataset, rows) -> tuple[np.ndarray, np.ndar
     return rows[~mask], rows[mask]
 
 
-def best_condition(data: Dataset, rows) -> Condition | None:
+def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     """The candidate condition with the highest information gain.
 
     Only candidates that leave both sides non-empty are considered.  Returns
     ``None`` when no candidate exists or the best gain is not positive, in
-    which case the caller should make a leaf.
+    which case the caller should make a leaf.  ``hist`` is the class
+    histogram of ``rows`` (:func:`class_histogram`) when the caller has
+    counted it already; otherwise the search counts it.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
@@ -235,10 +255,14 @@ def best_condition(data: Dataset, rows) -> Condition | None:
     n = rows.size
     class_count = data.class_count
     labels = data.labels[rows]
-    parent = np.bincount(labels, minlength=class_count)
-    parent_entropy = _entropies(parent[:, None], [n])[0]
-    # Class rows the gain pass reads: a two-class table lookup needs class 0.
-    tracked = 1 if class_count == 2 and n <= TABLE_ROWS else class_count
+    parent = np.bincount(labels, minlength=class_count) if hist is None else hist
+    # A two-class node of up to TABLE_ROWS rows needs only class-0 counts.
+    two_class = class_count == 2 and n <= TABLE_ROWS
+    if two_class:
+        parent_entropy = _entropy_table()[_tri(n) + parent[0]]
+        class0 = labels == 0
+    else:
+        parent_entropy = _entropies(parent[:, None], [n])[0]
     numeric = data.numeric
     # Row j holds attribute j, so every block below is one contiguous slice.
     columns = np.ascontiguousarray(data.values[rows].T)
@@ -251,33 +275,51 @@ def best_condition(data: Dataset, rows) -> Condition | None:
         # its own, and runs of equal values in it form one group.
         block = columns[first:first + width]
         order = np.argsort(block, axis=1)
-        sorted_labels = labels[order].ravel()
+        if two_class:
+            # Class-0 rows up to and including each cell, in sort order,
+            # restarting on each attribute row.
+            prefix0 = np.cumsum(class0[order], axis=1).ravel()
+        else:
+            sorted_labels = labels[order].ravel()
         order += np.arange(0, block.size, n)[:, None]
         flat = block.ravel()[order].ravel()
         starts = np.empty(flat.size, dtype=bool)
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
         starts[::n] = True
         group_start = np.flatnonzero(starts)
-        group_end = np.append(group_start[1:], flat.size)
-        groups = group_start.size
-        group = np.cumsum(starts) - 1
-        # Class-major counts: row c holds class c's count in every group.
-        counts = np.bincount(sorted_labels * groups + group,
-                             minlength=class_count * groups).reshape(class_count, groups)
+        group_end = np.empty_like(group_start)
+        group_end[:-1] = group_start[1:]
+        group_end[-1] = flat.size
         attr = group_start // n
+        row_start = attr * n
 
         # Numeric: the valid side of a group's threshold is every row of its
-        # attribute up to the group's end.  Each attribute's groups hold all
-        # n rows, so the running total restarts by subtracting attr * parent.
-        counts = counts[:tracked]
-        valid = np.cumsum(counts, axis=1) - parent[:tracked, None] * attr
-        n_valid = group_end - attr * n
-        # Categorical: the valid side of ``value == code`` is the group.
+        # attribute up to the group's end.  Categorical: the valid side of
+        # ``value == code`` is the group.
+        n_valid = group_end - row_start
+        categorical = None
         if not numeric[first:first + width].all():
             categorical = ~numeric[first + attr]
-            valid = np.where(categorical, counts, valid)
             n_valid = np.where(categorical, group_end - group_start, n_valid)
-        gains = _gains(parent_entropy, parent, valid, n_valid)
+        if two_class:
+            valid0 = prefix0[group_end - 1]
+            if categorical is not None:
+                # The class-0 count before a group; none before a row's start.
+                before = np.where(group_start == row_start, 0, prefix0[group_start - 1])
+                valid0 = np.where(categorical, valid0 - before, valid0)
+            gains = _table_gains(parent_entropy, n, parent[0], valid0, n_valid)
+        else:
+            groups = group_start.size
+            group = np.cumsum(starts) - 1
+            # Class-major counts: row c holds class c's count in every group.
+            counts = np.bincount(sorted_labels * groups + group,
+                                 minlength=class_count * groups).reshape(class_count, groups)
+            # Each attribute's groups hold all n rows, so the running total
+            # restarts by subtracting attr * parent.
+            valid = np.cumsum(counts, axis=1) - parent[:, None] * attr
+            if categorical is not None:
+                valid = np.where(categorical, counts, valid)
+            gains = _gains(parent_entropy, parent, valid, n_valid)
         # The last numeric group and a lone categorical group leave the
         # invalid side empty and are not candidates.
         gains[n_valid == n] = -np.inf

@@ -78,7 +78,7 @@ class TestBuildTree:
 
     def test_pure_node_is_leaf_at_min_count_one(self, monkeypatch):
         # Purity alone stops the walk: no split search runs on a pure node.
-        def no_search(data, rows):
+        def no_search(data, rows, hist=None):
             raise AssertionError("split search on a pure node")
 
         monkeypatch.setattr(eager_tree, "best_condition", no_search)

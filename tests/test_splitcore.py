@@ -23,7 +23,7 @@ from treelab import (
     partition,
     splitcore,
 )
-from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum
+from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum, class_histogram
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
 ENTROPY_3_1 = 0.8112781244591328
@@ -326,6 +326,21 @@ class TestEntropyTable:
         assert (table.view(np.int64) == want.view(np.int64)).all()
         assert table[0].tobytes() == np.float64(-0.0).tobytes()
 
+    def test_parent_cells_match_one_column_entropies(self):
+        # A two-class search reads its node's entropy from the table, built
+        # from wide _entropies calls; the direct path computes it as one
+        # column.  int64 views: the bits must match, signed zeros included.
+        table = splitcore._entropy_table()
+        cells = [(size, c) for size in range(TABLE_ROWS + 1)
+                 for c in sorted({0, 1, size // 2, size - 1, size}) if 0 <= c <= size]
+        rng = np.random.default_rng(5000)
+        sizes = rng.integers(0, TABLE_ROWS + 1, size=5000)
+        cells += zip(sizes.tolist(), rng.integers(0, sizes + 1).tolist())
+        got = np.array([table[splitcore._tri(size) + c] for size, c in cells])
+        want = np.array([splitcore._entropies(np.array([[c], [size - c]]), [size])[0]
+                         for size, c in cells])
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
     @staticmethod
     def _searches(classes):
         rng = np.random.default_rng(100 + classes)
@@ -398,6 +413,41 @@ class TestEntropyTable:
         src = str(Path(splitcore.__file__).parents[1])
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+
+class TestTwoClassSearch:
+    """Two-class nodes of up to TABLE_ROWS rows count class 0 in sort order."""
+
+    @staticmethod
+    def _table(rng, n_rows, width):
+        # Every block of ``width`` attributes starts with a categorical
+        # column; the other columns mix numeric and categorical ones.
+        m = 3 * width if width < 16 else 12
+        kinds = "".join("c" if j % width == 0 or rng.random() < 0.3 else "n"
+                        for j in range(m))
+        labels = rng.integers(0, 2, size=n_rows)
+        columns = []
+        for kind in kinds:
+            if kind == "c":
+                levels = int(rng.integers(2, 9))
+                noise = rng.integers(0, levels, size=n_rows)
+                columns.append(np.where(rng.random(n_rows) < 0.4, labels * (levels - 1), noise))
+            else:
+                grid = int(rng.integers(2, 30))
+                columns.append(labels * rng.integers(0, 3) + rng.integers(0, grid, size=n_rows))
+        return dataset_from_arrays(np.column_stack(columns), labels, kinds=kinds,
+                                   class_names=("k0", "k1"))
+
+    @pytest.mark.parametrize("n", [1, 2, 30, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1])
+    def test_matches_recount_and_per_attribute_search(self, n):
+        rng = np.random.default_rng(n)
+        width = max(1, BLOCK_CELLS // n)
+        for trial in range(12):
+            data = self._table(rng, max(n, 40), width)
+            rows = rng.integers(0, data.n_rows, size=n)
+            got = repr(best_condition(data, rows, class_histogram(data, rows)))
+            assert got == repr(best_condition(data, rows)), f"trial {trial}"
+            assert got == repr(per_attribute_best_condition(data, rows)), f"trial {trial}"
 
 
 def _entropies(counts):
