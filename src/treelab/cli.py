@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import errno
 import os
 import sys
@@ -35,6 +36,13 @@ EXIT_SCHEMA_MISMATCH = 13
 EXIT_TRACE_GUARDRAIL = 14
 
 TRACE_LINE_LIMIT = 10_000
+
+# glibc hands freed blocks above its mmap threshold, and the heap top, back to
+# the kernel, so each split search faults its numpy scratch in again.  Set both:
+# setting only the trim threshold turns off glibc's dynamic mmap threshold, and
+# large arrays are then mmapped and unmapped on every use.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters
+MMAP_THRESHOLD_MAX = 32 << 20  # glibc's largest accepted value on 64-bit
 
 REPORT_COLUMNS = [
     "dataset", "algorithm", "k", "b", "c", "d", "seed",
@@ -269,7 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in this process, where libc has ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
+        mallopt(M_TRIM_THRESHOLD, -1)  # -1: never trim
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import ctypes
 import io
 import os
 import resource
@@ -636,6 +637,50 @@ def test_cli_import_leaves_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _trace_args(train_test_csvs, out):
+    train, test = train_test_csvs
+    return ["trace", "--train", str(train), "--test", str(test), "--algorithm", "lazy",
+            "--min-count", "1", "--out", str(out)]
+
+
+# After a small run, glibc's default policy still mmaps a 1 MiB block (one more
+# hblks); under the policy main sets, the block comes from the heap.
+KEEP_FREED_HEAP = """
+import ctypes, sys
+import numpy as np
+from treelab import cli
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = (), MallInfo2
+code = cli.main(sys.argv[1:])
+before = mallinfo2().hblks
+block = np.ones(1 << 17)  # 1 MiB
+print(code, mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="libc has no mallinfo2")
+def test_main_keeps_freed_heap(train_test_csvs, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", KEEP_FREED_HEAP, *_trace_args(train_test_csvs, tmp_path / "t")],
+        capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_main_runs_where_libc_has_no_mallopt(train_test_csvs, tmp_path, monkeypatch):
+    assert main(_trace_args(train_test_csvs, tmp_path / "with.txt")) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert main(_trace_args(train_test_csvs, tmp_path / "without.txt")) == 0
+    assert (tmp_path / "without.txt").read_bytes() == (tmp_path / "with.txt").read_bytes()
 
 
 def test_module_entry_point(toy_csv, tmp_path):
