@@ -2,10 +2,11 @@
 
 All three algorithms are one tree walk with three expansion policies, over
 the same bootstraps drawn in one loop, and each walk co-partitions the
-training and test rows: the eager algorithm expands every node and builds
-full trees; the lazy algorithm grows one root-to-leaf path per test
-observation; the batched lazy algorithm expands every node a test row needs
-exactly once.  All three share the same split function and bootstrap seeds
+training and test rows: the eager algorithm expands every node of every
+tree; the lazy algorithm grows one root-to-leaf path per test observation;
+the batched lazy algorithm expands every node a test row needs exactly
+once.  No fit holds a tree: ``build_tree`` assembles one from the walk's
+visit events.  All three share the same split function and bootstrap seeds
 and produce bit-identical prediction matrices.  ``__all__`` holds what the
 command line and the tests import from the package; helpers such as
 ``valid_mask``, ``ALGORITHMS`` and ``format_trace_line`` stay in their
@@ -31,8 +32,6 @@ from .splitcore import (
     Condition,
     SplitParams,
     best_condition,
-    entropy,
-    information_gain,
     partition,
 )
 
@@ -46,11 +45,9 @@ __all__ = [
     "best_condition",
     "bootstrap",
     "build_tree",
-    "entropy",
     "fit_predict_batched",
     "fit_predict_eager",
     "fit_predict_lazy",
-    "information_gain",
     "load_csv",
     "load_prediction_rows",
     "make_folds",

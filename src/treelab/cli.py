@@ -189,7 +189,7 @@ def _load_fit(args):
     params = SplitParams(min_count=args.min_count, max_depth=args.max_depth)
     seed = resolve_seed(args.seed)
     _, fit = ALGORITHMS[args.algorithm]
-    return train, fit, (train, train.all_rows(), test_matrix, args.bootstraps, params, seed)
+    return train, fit, (train, np.arange(train.n_rows), test_matrix, args.bootstraps, params, seed)
 
 
 def cmd_predict(args) -> int:

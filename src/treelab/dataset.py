@@ -95,9 +95,6 @@ class Dataset:
     def class_count(self) -> int:
         return len(self.class_names)
 
-    def all_rows(self) -> np.ndarray:
-        return np.arange(self.n_rows, dtype=np.int64)
-
 
 def _read_rows(
     path, has_header: bool
@@ -228,15 +225,29 @@ def load_prediction_rows(train: Dataset, path, *, has_header: bool = True) -> np
     return matrix
 
 
+def row_indices(data: Dataset, rows) -> np.ndarray:
+    """``rows`` as int64 row indices into ``data``, checked.
+
+    ``rows`` must be a 1-D array of integers, not booleans, each in
+    ``[0, data.n_rows)``; anything else raises ``ValueError``.
+    """
+    arr = np.asarray(rows)
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("row indices must be a 1-D array of integers")
+    if arr.size and not (0 <= arr.min() and arr.max() < data.n_rows):
+        raise ValueError(f"row indices must lie in [0, {data.n_rows})")
+    return arr.astype(np.int64, copy=False)
+
+
 def as_test_matrix(data: Dataset, test) -> np.ndarray:
     """Normalize a test-set argument to an ``(n_s, m)`` value matrix.
 
-    Accepts either row indices into ``data`` or an already-materialized
-    value matrix (as produced by :func:`load_prediction_rows`).
+    Accepts either row indices into ``data`` (:func:`row_indices`) or an
+    already-materialized value matrix (from :func:`load_prediction_rows`).
     """
     arr = np.asarray(test)
     if arr.ndim == 1:
-        return data.values[arr.astype(np.int64)]
+        return data.values[row_indices(data, arr)]
     if arr.ndim == 2 and arr.shape[1] == data.n_attributes:
         return np.asarray(arr, dtype=np.float64)
     raise ValueError("test must be row indices or an (n_s, n_attributes) matrix")

@@ -10,11 +10,11 @@ the nodes depth first, invalid side first, from an explicit stack, so the
 depth of a tree is not bounded by Python's recursion limit.
 
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
-eager one (``EAGER``) expands every child and builds the tree, then drops
-it; every node it explores is a tree node, so its model words follow from
+eager one (``EAGER``) expands every child, so its model words follow from
 its node count.  The batched and lazy ones expand only the children that
 still hold test rows.  Under all three the test rows go down with the
 training rows and vote at the leaves they reach, one visit a node per tree.
+No fit holds a tree; :func:`build_tree` assembles one from a walk's events.
 :func:`fit_bagged` draws the bootstraps in one loop for every policy, and
 predictions average the per-tree class votes with weight ``1/b``.
 """
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, as_test_matrix, bootstrap
+from .dataset import Dataset, as_test_matrix, bootstrap, row_indices
 from .metrics import RunMetrics, model_word_count
 from .rng import mix_seed
 from .splitcore import (
@@ -59,8 +59,8 @@ class WalkPolicy(NamedTuple):
     """Which children a walk expands, and how it accounts for and reports a node."""
 
     algorithm: str  # tag of the run metrics
-    # Expand every child and keep the tree, whether or not test rows reach it;
-    # otherwise only the children some of the walk's test rows fall on.
+    # Expand every child, whether or not test rows reach it; otherwise only
+    # the children some of the walk's test rows fall on.
     expand_all: bool
     # One test row per walk: events name that row instead of a test count, and
     # the bootstrap alone holds stack words, not each node.
@@ -83,30 +83,29 @@ def walk(
     share: float,
     on_visit=None,
     bootstrap_index: int = 0,
-) -> TreeNode | None:
+) -> None:
     """Visit the nodes of one tree that ``policy`` expands, in preorder, from depth 0.
 
-    The stack holds ``(rows, positions, path, node, held)`` for each node
-    still to visit, where ``held`` is the stack words its ancestors hold; a
-    node's depth is ``len(path)``.  Every visited node counts as explored,
-    adds its rows to ``held`` and hands that on to its children, so the
-    metrics peak is the largest sum of subset sizes along a root-to-node
-    path.  A per-row walk holds the bootstrap from the root on and adds
-    nothing per node: its subsets reuse those words.
+    The stack holds ``(rows, positions, path, held)`` for each node still to
+    visit, where ``held`` is the stack words its ancestors hold; a node's
+    depth is ``len(path)``.  Every visited node counts as explored, adds its
+    rows to ``held`` and hands that on to its children, so the metrics peak
+    is the largest sum of subset sizes along a root-to-node path.  A per-row
+    walk holds the bootstrap from the root on and adds nothing per node: its
+    subsets reuse those words.
 
     ``positions`` index rows of ``test_matrix``: they are split by the same
     condition as the training rows, and a leaf adds ``share`` to
     ``votes[positions, label]``.  Under ``expand_all`` the walk also pushes
-    the children no test row reaches, and fills in and returns a
-    :class:`TreeNode` tree; otherwise it returns ``None``.
+    the children no test row reaches.  Each visit is reported to
+    ``on_visit`` as a :class:`TraceEvent`, the only record of the node.
     """
     expand_all = policy.expand_all
     per_row = policy.per_row
     test_row = int(positions[0]) if per_row else None
-    root = TreeNode() if expand_all else None
-    stack: list = [(rows, positions, (), root, rows.size if per_row else 0)]
+    stack: list = [(rows, positions, (), rows.size if per_row else 0)]
     while stack:
-        rows, positions, path, node, held = stack.pop()
+        rows, positions, path, held = stack.pop()
         metrics.nodes_explored += 1
         if not per_row:
             held += rows.size
@@ -130,23 +129,16 @@ def walk(
                     test_row=test_row,
                 )
             )
-        if expand_all:
-            node.label, node.condition = label, cond
         if cond is None:
             votes[positions, label] += share
             continue
         invalid_rows, valid_rows = partition(cond, data, rows)
         mask = valid_mask(cond, test_matrix[positions, cond.attribute])
-        invalid_node = valid_node = None
-        if expand_all:
-            invalid_node = node.invalid_child = TreeNode()
-            valid_node = node.valid_child = TreeNode()
         # Pushed valid side first, so the invalid subtree is visited first.
         if expand_all or mask.any():
-            stack.append((valid_rows, positions[mask], path + (1,), valid_node, held))
+            stack.append((valid_rows, positions[mask], path + (1,), held))
         if expand_all or not mask.all():
-            stack.append((invalid_rows, positions[~mask], path + (0,), invalid_node, held))
-    return root
+            stack.append((invalid_rows, positions[~mask], path + (0,), held))
 
 
 def build_tree(
@@ -158,14 +150,29 @@ def build_tree(
     on_visit=None,
     bootstrap_index: int = 0,
 ) -> TreeNode:
-    """Build one decision tree over the given row subset (:func:`walk`, ``EAGER``)."""
+    """Build one decision tree over the given row subset.
+
+    The tree is assembled from the events of an ``EAGER`` :func:`walk`, each
+    forwarded to ``on_visit``.  Events come in preorder, so a node's parent
+    is always built before it.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot build a tree node from zero rows")
-    no_test = np.empty(0, dtype=np.int64)
-    return walk(data, rows, params, metrics, EAGER, test_matrix=data.values[no_test],
-                positions=no_test, votes=np.empty((0, data.class_count)), share=0.0,
-                on_visit=on_visit, bootstrap_index=bootstrap_index)
+    nodes: dict[tuple[int, ...], TreeNode] = {}
+
+    def add_node(event: TraceEvent) -> None:
+        node = nodes[event.path] = TreeNode(event.label, event.condition)
+        if event.path:
+            side = "valid_child" if event.path[-1] else "invalid_child"
+            setattr(nodes[event.path[:-1]], side, node)
+        if on_visit is not None:
+            on_visit(event)
+
+    walk(data, rows, params, metrics, EAGER, test_matrix=data.values[:0],
+         positions=np.empty(0, dtype=np.int64), votes=np.empty((0, data.class_count)),
+         share=0.0, on_visit=add_node, bootstrap_index=bootstrap_index)
+    return nodes[()]
 
 
 def predict_row(tree: TreeNode, row: np.ndarray) -> int:
@@ -197,6 +204,7 @@ def fit_bagged(
     """
     if b < 1:
         raise ValueError("need at least one bootstrap")
+    train_rows = row_indices(data, train_rows)
     test_matrix = as_test_matrix(data, test)
     n_test = test_matrix.shape[0]
     if n_test == 0:
@@ -210,7 +218,6 @@ def fit_bagged(
     for i in range(b):
         rows = bootstrap(train_rows, mix_seed(base_seed, i))
         for group in groups:
-            # The eager walk's tree is dropped here, so one is held at a time.
             walk(
                 data, rows, params, metrics, policy,
                 test_matrix=test_matrix, positions=group, votes=predictions, share=share,

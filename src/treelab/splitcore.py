@@ -84,17 +84,6 @@ def class_histogram(data: Dataset, rows) -> np.ndarray:
     return np.bincount(data.labels[rows], minlength=data.class_count)
 
 
-def _check_histogram(hist) -> np.ndarray:
-    counts = np.asarray(hist, dtype=np.int64)
-    if counts.ndim != 1:
-        raise ValueError("histogram must be one-dimensional")
-    if counts.size and counts.min() < 0:
-        raise ValueError("histogram counts must be non-negative")
-    if counts.sum() < 1:
-        raise ValueError("histogram is empty")
-    return counts
-
-
 def _class_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the class rows of a ``(classes, k)`` array, per column.
 
@@ -189,12 +178,11 @@ def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
 
     ``parent`` is the class histogram of all rows, ``parent_entropy`` its
     entropy and ``n_valid`` the column sums of ``valid``; the invalid side
-    is the rest of the parent.  A two-class node of at most ``TABLE_ROWS``
-    rows reads only the class-0 row of ``valid``, from :func:`_table_gains`.
+    is the rest of the parent.  This is the direct path: :func:`best_condition`
+    scores two-class nodes of at most ``TABLE_ROWS`` rows with
+    :func:`_table_gains` instead.
     """
     n = parent.sum()
-    if parent.size == 2 and n <= TABLE_ROWS:
-        return _table_gains(parent_entropy, n, parent[0], valid[0], n_valid)
     n_invalid = n - n_valid
     # Both sides in one entropy pass, invalid columns first; columns are
     # reduced independently.
@@ -205,25 +193,6 @@ def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
     entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
     e_invalid, e_valid = entropies[:k], entropies[k:]
     return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
-
-
-def entropy(hist) -> float:
-    """Shannon entropy of a class histogram, in bits."""
-    counts = _check_histogram(hist)
-    return float(_entropies(counts[:, None], [counts.sum()])[0])
-
-
-def information_gain(parent, invalid_side, valid_side) -> float:
-    """Entropy of the parent minus the size-weighted entropy of the sides."""
-    parent = _check_histogram(parent)
-    invalid = _check_histogram(invalid_side)
-    valid = _check_histogram(valid_side)
-    if invalid.size != parent.size or valid.size != parent.size:
-        raise ValueError("histograms must share the class axis")
-    if not np.array_equal(invalid + valid, parent):
-        raise ValueError("side histograms must sum to the parent")
-    gain = _gains(entropy(parent), parent, valid[:, None], valid.sum(keepdims=True))
-    return float(gain[0])
 
 
 def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ Each algorithm can report every node visit to an ``on_visit`` callback.  A
 node is identified by its branch path from the root: a tuple of 0 (invalid
 side) and 1 (valid side), so traces from different algorithms over the same
 bootstrap are directly comparable.  An event carries the node's split
-:class:`~treelab.splitcore.Condition`, or ``None`` at a leaf; its kind and
-depth are derived from the condition and the path.
+:class:`~treelab.splitcore.Condition`, or ``None`` at a leaf; its depth is
+derived from the path.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class TraceEvent:
     condition: Condition | None
     label: int | None
     test_row: int | None
-
-    @property
-    def kind(self) -> str:
-        return "leaf" if self.condition is None else "split"
 
     @property
     def depth(self) -> int:

@@ -121,7 +121,7 @@ class TestOrderAndOutput:
         fit_predict_batched(data, np.arange(24), np.arange(24, 30), 1,
                             SplitParams(min_count=2), 3, on_visit=events.append)
         for before, after in zip(events, events[1:]):
-            if before.kind == "split":
+            if before.condition is not None:
                 assert after.path == before.path + (0,) or (
                     # valid side only when no test row went invalid
                     after.path == before.path + (1,)

@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dataset
 from oracles import SplitMix64, reference_load_csv, reference_load_prediction_rows
 from treelab import (
     DatasetError,
+    SplitParams,
     bootstrap,
+    fit_predict_batched,
+    fit_predict_eager,
+    fit_predict_lazy,
     load_csv,
     load_prediction_rows,
     make_folds,
 )
+from treelab.dataset import row_indices
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -300,3 +306,31 @@ class TestBootstrap:
             for seed in range(100)
         ]
         assert abs(float(np.mean(fractions)) - expected) < 0.05
+
+
+class TestRowIndices:
+    """Fits take row indices only: integers, not booleans, each a row of the data."""
+
+    BAD = {
+        "bool_mask": lambda n: np.arange(n) < n // 2,
+        "float": lambda n: np.arange(n // 2, dtype=np.float64),
+        "minus_one": lambda n: np.array([0, 1, -1]),
+        "n_rows": lambda n: np.array([0, 1, n]),
+    }
+
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_bad_indices_rejected(self, fit, side, bad):
+        data = random_dataset(np.random.default_rng(3), 12, 2, 0, 2)
+        rows = self.BAD[bad](data.n_rows)
+        good = np.arange(data.n_rows)
+        train, test = (rows, good) if side == "train" else (good, rows)
+        with pytest.raises(ValueError, match="row indices"):
+            fit(data, train, test, 1, SplitParams(min_count=1), 0)
+
+    def test_integer_kinds_accepted(self, toy4):
+        for rows in ([3, 0], np.array([3, 0], dtype=np.uint8), np.array([3, 0], dtype=np.int32)):
+            got = row_indices(toy4, rows)
+            assert got.dtype == np.int64 and got.tolist() == [3, 0]
+        assert row_indices(toy4, np.array([], dtype=np.int64)).size == 0

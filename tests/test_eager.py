@@ -108,7 +108,6 @@ class TestBuildTree:
             for event, (path, rows, kind, payload) in zip(events, replay):
                 assert event.path == path
                 assert event.train_count == len(rows)
-                assert event.kind == kind
                 if kind == "split":
                     assert event.condition == payload and event.label is None
                 else:
@@ -244,11 +243,11 @@ class TestFitPredictEager:
         return tree, sum(stat.size for stat in snapshot.statistics("filename"))
 
     def test_peak_memory_holds_one_tree_whatever_b(self):
-        # Each tree is dropped once its walk has built it and voted with the
-        # test rows, so going from b=1 to b=8 adds about one tree to the
-        # traced peak (the largest of eight trees in place of the first), not
-        # seven.  A first b=8 fit fills the process-wide caches and free lists,
-        # which grow with the largest tree and tracemalloc counts as allocated.
+        # The fit keeps nothing of a tree once its walk has voted with the
+        # test rows, so going from b=1 to b=8 adds far less than one tree to
+        # the traced peak, let alone seven.  A first b=8 fit and a first build
+        # fill the process-wide caches and free lists, which tracemalloc
+        # counts as allocated.
         rng = np.random.default_rng(79)
         data = random_dataset(rng, 300, 4, 0, 3)
         train, test = np.arange(250), np.arange(250, 300)
@@ -263,9 +262,44 @@ class TestFitPredictEager:
             finally:
                 tracemalloc.stop()
 
-        tree, tree_bytes = self.built_tree_bytes(data, bootstrap(train, mix_seed(5, 0)), params)
+        rows = bootstrap(train, mix_seed(5, 0))
+        build_tree(data, rows, params, fresh_metrics())
+        tree, tree_bytes = self.built_tree_bytes(data, rows, params)
         assert count_nodes(tree) > 100
         assert traced_peak(8) - traced_peak(1) < 2 * tree_bytes
+
+    def test_fit_holds_no_tree(self):
+        # The traced memory a fit holds, sampled at each visit, is the same
+        # for dt as for batched up to a few walk frames: dt builds no tree.
+        # Visits fall between split searches, whose scratch sets the plain
+        # peak of both fits at the root, before any tree exists.
+        rng = np.random.default_rng(79)
+        data = random_dataset(rng, 300, 4, 0, 3)
+        train, test = np.arange(250), np.arange(250, 253)
+        params = SplitParams(min_count=1)
+
+        def held_at_visits(fit):
+            most = 0
+
+            def sample(event):
+                nonlocal most
+                most = max(most, tracemalloc.get_traced_memory()[0])
+
+            tracemalloc.start()
+            try:
+                fit(data, train, test, 1, params, 5, on_visit=sample)
+            finally:
+                tracemalloc.stop()
+            return most
+
+        rows = bootstrap(train, mix_seed(5, 0))
+        build_tree(data, rows, params, fresh_metrics())
+        tree, tree_bytes = self.built_tree_bytes(data, rows, params)
+        assert count_nodes(tree) > 100
+        for fit in (fit_predict_eager, fit_predict_batched):
+            held_at_visits(fit)
+        eager, batched = held_at_visits(fit_predict_eager), held_at_visits(fit_predict_batched)
+        assert eager - batched < tree_bytes / 3
 
     def test_tree_holds_few_bytes_per_node(self):
         # The cost model charges four words a node.  A node and its condition
@@ -283,9 +317,9 @@ class TestFitPredictEager:
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("min_count", [1, 5])
     def test_votes_equal_per_row_routes_through_built_trees(self, b, min_count):
-        # The fit routes its test rows inside the walk that builds each tree;
-        # the oracle routes them one at a time through the same trees, built
-        # on their own.  Test rows hold a category code no training row has
+        # The fit routes its test rows inside the walk over each tree; the
+        # oracle routes them one at a time through the same trees, built by
+        # build_tree.  Test rows hold a category code no training row has
         # (-1), and some subtrees are reached by no test row: the fit still
         # explores every node of every tree.
         rng = np.random.default_rng(61)

@@ -44,7 +44,7 @@ class TestPathEquivalence:
                 for j, row in enumerate(test):
                     label, path = route_row(tree, data.values[row])
                     walk = lazy_path_of_row(events, i, j)
-                    assert walk[-1].kind == "leaf"
+                    assert walk[-1].condition is None
                     assert walk[-1].label == label
                     assert walk[-1].path == path
                     split_paths = tuple(e.path for e in walk[:-1])
@@ -59,7 +59,7 @@ class TestPathEquivalence:
                                            on_visit=events.append)
         # 1 leaf decision per (bootstrap, test row)
         assert metrics.nodes_explored == 2 * 3
-        assert all(e.kind == "leaf" for e in events)
+        assert all(e.condition is None for e in events)
         assert np.array_equal(matrix, np.array([[0.0, 1.0]] * 3))
 
     def test_toy_costs_and_predictions(self, toy4):
@@ -100,7 +100,7 @@ class TestInvariants:
                          on_visit=events.append)
         per_walk = Counter((e.bootstrap, e.test_row) for e in events)
         splits_per_walk = Counter(
-            (e.bootstrap, e.test_row) for e in events if e.kind == "split"
+            (e.bootstrap, e.test_row) for e in events if e.condition is not None
         )
         # at most max_depth+1 splits, plus the terminal leaf decision
         assert max(splits_per_walk.values()) <= params.max_depth + 1

@@ -17,6 +17,7 @@ from treelab import (
     fit_predict_lazy,
     mix_seed,
     model_word_count,
+    run_cv,
 )
 
 
@@ -167,3 +168,21 @@ class TestCrossAlgorithmCounters:
             f"\ncpu seconds DT={eager_metrics.cpu_seconds:.4f} "
             f"BL-DT={batched_metrics.cpu_seconds:.4f} (reported, not asserted)"
         )
+
+    @pytest.mark.parametrize("k", [2, 10, 50, "n"])
+    def test_claims_across_fold_counts(self, k):
+        # The paper's claims at each fold count, through cross validation:
+        # batched explores no more nodes than dt or lazy, and all three
+        # score the same accuracy.  CPU is printed, not asserted.
+        data = random_dataset(np.random.default_rng(97), 60, 3, 1, 3)
+        k = data.n_rows if k == "n" else k
+        params = SplitParams(min_count=2)
+        results = {algorithm: run_cv(data, algorithm, k, 2, params, seed=13)
+                   for algorithm in ("dt", "batched", "lazy")}
+        nodes = {a: r.metrics.nodes_explored for a, r in results.items()}
+        assert nodes["batched"] <= nodes["dt"]
+        assert nodes["batched"] <= nodes["lazy"]
+        assert len({r.accuracy for r in results.values()}) == 1
+        print(f"\nk={k}: nodes {nodes} | cpu "
+              + " ".join(f"{a}={r.metrics.cpu_seconds:.3f}s" for a, r in results.items())
+              + " (reported, not asserted)")

@@ -15,11 +15,9 @@ from treelab import (
     Condition,
     SplitParams,
     best_condition,
-    entropy,
     fit_predict_batched,
     fit_predict_eager,
     fit_predict_lazy,
-    information_gain,
     partition,
     splitcore,
 )
@@ -27,6 +25,20 @@ from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum, class_histogr
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
 ENTROPY_3_1 = 0.8112781244591328
+
+
+def entropy(counts):
+    """The entropy the direct path computes for one class histogram."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return float(splitcore._entropies(counts[:, None], [counts.sum()])[0])
+
+
+def information_gain(parent, valid):
+    """The gain the direct path scores for one candidate's valid side."""
+    parent, valid = np.asarray(parent), np.asarray(valid)
+    gain = splitcore._gains(entropy(parent), parent, valid[:, None], valid.sum(keepdims=True))
+    return float(gain[0])
+
 
 counts_strategy = st.lists(st.integers(0, 50), min_size=1, max_size=6).filter(
     lambda c: sum(c) >= 1
@@ -43,16 +55,6 @@ class TestEntropy:
     def test_three_one(self):
         assert entropy([3, 1]) == pytest.approx(ENTROPY_3_1, abs=1e-12)
         assert entropy([3, 1]) == pytest.approx(oracles.entropy_counts([3, 1]), abs=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            entropy([0, 0])
-        with pytest.raises(ValueError):
-            entropy([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            entropy([3, -1])
 
     @given(counts=counts_strategy)
     @settings(max_examples=200, deadline=None)
@@ -82,22 +84,14 @@ class TestClassSum:
 
 class TestInformationGain:
     def test_perfect_split(self):
-        assert information_gain([2, 2], [2, 0], [0, 2]) == 1.0
+        assert information_gain([2, 2], [0, 2]) == 1.0
 
     def test_uninformative_split(self):
-        assert information_gain([2, 2], [1, 1], [1, 1]) == 0.0
+        assert information_gain([2, 2], [1, 1]) == 0.0
 
     def test_partial_split(self):
-        gain = information_gain([3, 1], [2, 0], [1, 1])
+        gain = information_gain([3, 1], [1, 1])
         assert gain == pytest.approx(ENTROPY_3_1 - 0.5, abs=1e-12)
-
-    def test_sides_must_sum_to_parent(self):
-        with pytest.raises(ValueError):
-            information_gain([3, 1], [2, 0], [2, 1])
-
-    def test_empty_side_rejected(self):
-        with pytest.raises(ValueError):
-            information_gain([3, 1], [0, 0], [3, 1])
 
     @given(
         invalid=counts_strategy,
@@ -109,7 +103,7 @@ class TestInformationGain:
         invalid = invalid + [0] * (width - len(invalid))
         valid = valid + [0] * (width - len(valid))
         parent = [a + b for a, b in zip(invalid, valid)]
-        gain = information_gain(parent, invalid, valid)
+        gain = information_gain(parent, valid)
         assert gain >= -1e-12
         assert gain == pytest.approx(oracles.info_gain(parent, invalid, valid), abs=1e-12)
 
@@ -358,18 +352,9 @@ class TestEntropyTable:
     @pytest.mark.parametrize("classes", [2, 3, 8, 40])
     def test_table_and_direct_paths_agree(self, classes, monkeypatch):
         searches = list(self._searches(classes))
-        rng = np.random.default_rng(classes)
-        histograms = []
-        for _ in range(200):
-            parent = rng.integers(0, 60, size=classes)
-            parent[rng.integers(0, classes)] += 1
-            histograms.append((parent, rng.integers(0, parent + 1)))
-        histograms = [(p, p - v, v) for p, v in histograms if 0 < v.sum() < p.sum()]
 
         def run():
-            conditions = [repr(best_condition(data, rows)) for data, rows in searches]
-            gains = [information_gain(*h) for h in histograms]
-            return conditions, np.array(gains).tobytes()
+            return [repr(best_condition(data, rows)) for data, rows in searches]
 
         table = run()
         monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
