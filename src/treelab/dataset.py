@@ -46,6 +46,18 @@ class Dataset:
     the decoding table of attribute ``j``, or ``None`` for numeric columns,
     and so the one record of each attribute's kind.  ``numeric`` is derived
     from it: a read-only bool mask that is true for the numeric attributes.
+    Every value must be finite.
+
+    The split search reads two more derived, read-only fields.  ``levels``
+    holds each column's distinct values in ascending order, column after
+    column.  ``codes`` is an ``(n_attributes, n_rows)`` array of indices into
+    it, so ``levels[codes[j]] == values[:, j]``: a cell's code is its value's
+    rank in its column plus the column's offset, and no two columns share a
+    code.  Codes are int32 unless ``levels.size << label_bits`` exceeds its
+    maximum, so a split-search key, ``code << label_bits | label``, always
+    fits their dtype.  They cost memory beside ``values``: on a
+    20 000 x 20 numeric table of distinct values, 1.5 MiB of codes and
+    3.1 MiB of levels.
     """
 
     name: str
@@ -56,6 +68,8 @@ class Dataset:
     categories: tuple[tuple[str, ...] | None, ...]
     label_name: str = "label"
     numeric: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -77,11 +91,15 @@ class Dataset:
             raise DatasetError("need at least 2 distinct classes")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise DatasetError("label codes out of range")
+        # Ranks need a total order, which NaN breaks.
+        if not np.isfinite(values).all():
+            raise DatasetError("values must be finite")
         numeric = np.array([table is None for table in self.categories])
-        object.__setattr__(self, "numeric", numeric)
-        values.setflags(write=False)
-        labels.setflags(write=False)
-        numeric.setflags(write=False)
+        codes, levels = _rank_codes(values, self.label_bits)
+        for name, array in (("values", values), ("labels", labels), ("numeric", numeric),
+                            ("codes", codes), ("levels", levels)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_rows(self) -> int:
@@ -94,6 +112,37 @@ class Dataset:
     @property
     def class_count(self) -> int:
         return len(self.class_names)
+
+    @property
+    def label_bits(self) -> int:
+        """Low bits of a split-search key that hold a row's class label."""
+        return max(1, (self.class_count - 1).bit_length())
+
+
+def _rank_codes(values: np.ndarray, label_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(codes, levels)`` pair of :class:`Dataset`.
+
+    Each column is sorted on its own, so the scratch is a few columns long;
+    a level starts wherever the sorted value changes (``-0.0`` and ``0.0``
+    are one level).  A cell's rank in its column plus the levels of the
+    columns before it is its code.
+    """
+    codes = np.empty(values.shape[::-1], dtype=np.int32)
+    levels = []
+    for j, column in enumerate(values.T):
+        order = np.argsort(column)
+        ordered = column[order]
+        starts = np.empty(ordered.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        levels.append(ordered[starts])
+        codes[j, order] = np.cumsum(starts, dtype=np.int32) - 1
+    sizes = np.array([distinct.size for distinct in levels])
+    levels = np.concatenate(levels)
+    if levels.size << label_bits > np.iinfo(np.int32).max:
+        codes = codes.astype(np.int64)
+    codes += (np.cumsum(sizes) - sizes).astype(codes.dtype)[:, None]
+    return codes, levels
 
 
 def _read_rows(
@@ -172,6 +221,8 @@ def load_csv(path, *, has_header: bool = True) -> Dataset:
     label_codes, class_names = _encode_category(map(itemgetter(m), rows))
     if len(class_names) < 2:
         raise DatasetError(f"{path}: need at least 2 distinct classes")
+    # The cells are read; free them before the dataset derives its codes.
+    del rows
 
     return Dataset(
         name=Path(path).stem,

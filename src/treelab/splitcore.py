@@ -8,13 +8,17 @@ candidate per code present).  The score is Shannon information gain in bits;
 ties break to the lowest attribute index, then the lowest threshold or code.
 
 A search scores all attributes of a node together, in blocks of at most
-``BLOCK_CELLS`` rows x attributes: one sort per block, one count of classes
-per run of equal values, and one gain evaluation over every candidate of the
-block.  Only the per-run class counts and values are read, so whether the
-sort is stable does not matter, and the candidates, their gains and the
-tie-break are those of a search that takes one attribute at a time.  A
-caller that has just counted the node's class histogram passes it as
-``hist``, and the search does not count it again.
+``BLOCK_CELLS`` rows x attributes.  A block gathers the node's cells from the
+table's rank codes (``Dataset.codes``), packs each row's label into the low
+bits of its codes, and sorts these integer keys once: each attribute's cells
+come out ordered by value, and a run of equal codes is one group.  Then one
+count of classes per group and one gain evaluation over every candidate of
+the block; a threshold's values are read back from ``Dataset.levels``.
+Ranks preserve the order and the equalities of the values, so the
+candidates, their gains and the tie-break are those of a search that takes
+one attribute at a time on the values themselves.  A caller that has just
+counted the node's class histogram passes it as ``hist``, and the search
+does not count it again.
 
 Class counts are class-major, a ``(classes, groups)`` array, so every step of
 the gain pass runs over long contiguous rows.  The entropy's sum over classes
@@ -45,8 +49,10 @@ import numpy as np
 from .dataset import Dataset
 
 # Cells (rows x attributes) sorted together in one block of a split search;
-# bounds the per-block sort and count temporaries, not the node's value copy.
-BLOCK_CELLS = 4096
+# bounds all of a search's scratch: the block's keys and its per-group
+# arrays.  A node of more rows takes one attribute per block.  Timed per
+# node-size band against 4 096 and 32 768 cells (ROADMAP item 3).
+BLOCK_CELLS = 16384
 
 # Largest two-class node whose side entropies come from the table; the table
 # holds (TABLE_ROWS + 1)(TABLE_ROWS + 2) / 2 doubles, ~1 MB.
@@ -229,32 +235,35 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     two_class = class_count == 2 and n <= TABLE_ROWS
     if two_class:
         parent_entropy = _entropy_table()[_tri(n) + parent[0]]
-        class0 = labels == 0
     else:
         parent_entropy = _entropies(parent[:, None], [n])[0]
     numeric = data.numeric
-    # Row j holds attribute j, so every block below is one contiguous slice.
-    columns = np.ascontiguousarray(data.values[rows].T)
+    # A key is a cell's rank code with its row's label in the low bits, so
+    # sorting keys sorts by value and groups each value's rows by class.
+    bits = data.label_bits
+    labels = labels.astype(data.codes.dtype)
 
     best: Condition | None = None
     best_gain = 0.0
     width = max(1, BLOCK_CELLS // n)
     for first in range(0, data.n_attributes, width):
         # Row j of the block is attribute first + j; each row is sorted on
-        # its own, and runs of equal values in it form one group.
-        block = columns[first:first + width]
-        order = np.argsort(block, axis=1)
+        # its own, and runs of equal codes in it form one group.
+        keys = data.codes[first:first + width].take(rows, axis=1)
+        keys <<= bits
+        keys |= labels
+        keys.sort(axis=1)
         if two_class:
             # Class-0 rows up to and including each cell, in sort order,
             # restarting on each attribute row.
-            prefix0 = np.cumsum(class0[order], axis=1).ravel()
+            prefix0 = np.cumsum((keys & 1) == 0, axis=1).ravel()
         else:
-            sorted_labels = labels[order].ravel()
-        order += np.arange(0, block.size, n)[:, None]
-        flat = block.ravel()[order].ravel()
+            sorted_labels = (keys & ((1 << bits) - 1)).ravel()
+        flat = (keys >> bits).ravel()
+        # No two attributes share a code, so each row starts a group.
         starts = np.empty(flat.size, dtype=bool)
+        starts[0] = True
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-        starts[::n] = True
         group_start = np.flatnonzero(starts)
         group_end = np.empty_like(group_start)
         group_end[:-1] = group_start[1:]
@@ -281,6 +290,8 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
             groups = group_start.size
             group = np.cumsum(starts) - 1
             # Class-major counts: row c holds class c's count in every group.
+            # A block has no more groups than the table has levels, so this
+            # index fits the codes' dtype, as the keys do.
             counts = np.bincount(sorted_labels * groups + group,
                                  minlength=class_count * groups).reshape(class_count, groups)
             # Each attribute's groups hold all n rows, so the running total
@@ -299,11 +310,11 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         if gains[pick] > best_gain:
             best_gain = float(gains[pick])
             attribute = first + int(attr[pick])
-            low = float(flat[group_start[pick]])
+            low = float(data.levels[flat[group_start[pick]]])
             if not numeric[attribute]:
                 best = Condition(attribute=attribute, op="eq", value=low)
             else:
-                high = float(flat[group_end[pick]])
+                high = float(data.levels[flat[group_end[pick]]])
                 threshold = (low + high) / 2.0
                 # The midpoint of two adjacent doubles can round up onto the
                 # high value, which would move the high group to the valid

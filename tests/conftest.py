@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from treelab import Dataset, bootstrap
 from treelab.rng import mix_seed
@@ -113,3 +114,27 @@ def breast_csv(tmp_path_factory):
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# Doubles where rank codes could go wrong: both zeros, subnormals, neighbours
+# one ulp apart and the largest magnitudes.
+AWKWARD_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, np.nextafter(1e-310, 1.0), 1.0,
+    np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, 1e308, -1e308,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 0.30000000000000004, 0.3,
+]
+
+
+@st.composite
+def awkward_datasets(draw):
+    """A small numeric dataset of awkward doubles and 2-9 classes."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.sampled_from(AWKWARD_VALUES) | st.floats(-1e3, 1e3),
+                         min_size=1, max_size=12))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * m,
+                                    max_size=n * m))).reshape(n, m)
+    class_count = draw(st.integers(2, 9))
+    labels = draw(st.lists(st.integers(0, class_count - 1), min_size=n, max_size=n))
+    return dataset_from_arrays(values, labels,
+                               class_names=tuple(f"k{c}" for c in range(class_count)))

@@ -1,3 +1,4 @@
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
-from oracles import SplitMix64, reference_load_csv, reference_load_prediction_rows
+from conftest import awkward_datasets, dataset_from_arrays, random_dataset
+from oracles import (
+    SplitMix64,
+    per_attribute_best_condition,
+    reference_load_csv,
+    reference_load_prediction_rows,
+)
 from treelab import (
     DatasetError,
     SplitParams,
+    best_condition,
     bootstrap,
     fit_predict_batched,
     fit_predict_eager,
@@ -334,3 +341,67 @@ class TestRowIndices:
             got = row_indices(toy4, rows)
             assert got.dtype == np.int64 and got.tolist() == [3, 0]
         assert row_indices(toy4, np.array([], dtype=np.int64)).size == 0
+
+
+class TestRankCodes:
+    """``codes`` and ``levels`` rank each column's values for the split search."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DatasetError, match="finite"):
+            dataset_from_arrays([[1.0, 2.0], [bad, 3.0]], [0, 1])
+
+    @given(data=awkward_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_levels_decode_codes(self, data):
+        assert data.codes.shape == (data.n_attributes, data.n_rows)
+        assert data.codes.dtype == np.int32
+        assert not data.codes.flags.writeable and not data.levels.flags.writeable
+        for j in range(data.n_attributes):
+            assert np.array_equal(data.levels[data.codes[j]], data.values[:, j])
+
+    @given(data=awkward_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_each_column_owns_a_contiguous_ascending_range(self, data):
+        first = 0
+        for j in range(data.n_attributes):
+            used = np.unique(data.codes[j])
+            # every level of the column is used, and the next column's
+            # range starts right after this one's
+            assert used.tolist() == list(range(first, first + used.size))
+            column_levels = data.levels[used]
+            assert np.all(column_levels[1:] > column_levels[:-1])
+            first += used.size
+        assert first == data.levels.size
+
+    def test_int32_on_the_benchmark_tables(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        for generate in (workloads.generate_paper_cv, workloads.generate_big_predict,
+                         workloads.generate_categorical_trace):
+            generate(5, tmp_path)
+        for name in ("cv.csv", "big_train.csv", "cat_train.csv"):
+            assert load_csv(tmp_path / name).codes.dtype == np.int32, name
+
+    def test_int64_when_keys_overflow_int32(self):
+        # 2**17 levels shifted by the 15 label bits of 2**14 + 1 classes make
+        # keys of up to 2**32 - 1, past int32: the codes widen, and the search
+        # still agrees with the per-attribute reference.
+        rng = np.random.default_rng(17)
+        n, class_count = 2**17, 2**14 + 1
+        values = rng.permutation(n).astype(np.float64)
+        labels = rng.integers(0, class_count, size=n)
+        data = dataset_from_arrays(values, labels,
+                                   class_names=tuple(f"k{c}" for c in range(class_count)))
+        assert data.codes.dtype == np.int64
+        assert (int(data.codes.max()) << 15) > np.iinfo(np.int32).max
+        assert np.array_equal(data.levels[data.codes[0]], values)
+        for size in (2, 7, 40):
+            # half the rows hold the largest codes
+            rows = np.concatenate([np.argsort(values)[-(size // 2):],
+                                   rng.integers(0, n, size=size - size // 2)])
+            got = best_condition(data, rows)
+            assert repr(got) == repr(per_attribute_best_condition(data, rows))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import dataset_from_arrays, gaussian_dataset, random_dataset
+from conftest import awkward_datasets, dataset_from_arrays, gaussian_dataset, random_dataset
 from treelab import (
     Condition,
     SplitParams,
@@ -212,10 +213,10 @@ class TestBestCondition:
                 )
 
     def test_matches_bruteforce_across_attribute_blocks(self):
-        # 40 attributes at 200-2 000 rows split into 2-20 blocks; a small
+        # 40 attributes in blocks of 20, 9, 4 and 2, so 2-20 blocks; a small
         # value grid keeps the brute force cheap.
         rng = np.random.default_rng(4040)
-        for trial, n in enumerate((200, 450, 900, 2000)):
+        for trial, n in enumerate(BLOCK_CELLS // width for width in (20, 9, 4, 2)):
             assert BLOCK_CELLS // n < 40
             data = random_dataset(rng, n, 32, 8, int(rng.integers(2, 4)), value_grid=3)
             rows = rng.integers(0, n, size=n)
@@ -231,7 +232,7 @@ class TestBestCondition:
         # Attribute 0 and attribute 39 are the same column and the best one;
         # they fall in different blocks, and the earlier attribute wins.
         rng = np.random.default_rng(39)
-        n = 200
+        n = BLOCK_CELLS // 20
         assert 0 // (BLOCK_CELLS // n) != 39 // (BLOCK_CELLS // n)
         labels = rng.integers(0, 2, size=n)
         best_column = labels * 4 + rng.integers(0, 3, size=n)
@@ -258,7 +259,7 @@ class TestBestCondition:
                 )
             rows = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
             got = best_condition(data, rows)
-            want = per_attribute_best_condition(data, rows)
+            want = oracles.per_attribute_best_condition(data, rows)
             assert repr(got) == repr(want), f"trial {trial}"
         # 16-40 classes run more than one round of the class sum's
         # 8-accumulator loop
@@ -271,7 +272,7 @@ class TestBestCondition:
             )
             rows = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
             got = best_condition(data, rows)
-            want = per_attribute_best_condition(data, rows)
+            want = oracles.per_attribute_best_condition(data, rows)
             assert repr(got) == repr(want), f"wide trial {trial}"
 
     def test_returned_condition_dominates_every_candidate(self):
@@ -303,6 +304,34 @@ class TestBestCondition:
         data = random_dataset(rng, 30, 3, 2, 3)
         rows = np.arange(30)
         assert best_condition(data, rows) == best_condition(data, rows)
+
+    @given(data=awkward_datasets(), picks=st.lists(st.integers(0, 29), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_attribute_search_on_awkward_doubles(self, data, picks):
+        # Both zeros, subnormals, doubles one ulp apart and +-1e308: the
+        # search on rank codes picks the thresholds, bit for bit, that a
+        # search on the values themselves picks.
+        rows = np.array(picks) % data.n_rows
+        want = oracles.per_attribute_best_condition(data, rows)
+        assert repr(best_condition(data, rows)) == repr(want)
+
+    def test_search_scratch_is_bounded_by_the_block(self):
+        # A root search of a wide two-class table holds one block's keys
+        # and per-group arrays at a time (~15 times the bound's base), never
+        # a copy of the node's n x m values (4 MiB here, 31 times the base).
+        rng = np.random.default_rng(7)
+        n, m = 512, 1024
+        labels = rng.integers(0, 2, size=n)
+        data = dataset_from_arrays(rng.normal(size=(n, m)) + 0.1 * labels[:, None], labels)
+        rows = np.arange(n)
+        best_condition(data, rows)  # builds the two-class entropy table untraced
+        tracemalloc.start()
+        try:
+            best_condition(data, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * (BLOCK_CELLS + n) * 8
 
 
 class TestEntropyTable:
@@ -407,7 +436,7 @@ class TestTwoClassSearch:
     def _table(rng, n_rows, width):
         # Every block of ``width`` attributes starts with a categorical
         # column; the other columns mix numeric and categorical ones.
-        m = 3 * width if width < 16 else 12
+        m = 3 * width if width <= 32 else 12
         kinds = "".join("c" if j % width == 0 or rng.random() < 0.3 else "n"
                         for j in range(m))
         labels = rng.integers(0, 2, size=n_rows)
@@ -432,60 +461,8 @@ class TestTwoClassSearch:
             rows = rng.integers(0, data.n_rows, size=n)
             got = repr(best_condition(data, rows, class_histogram(data, rows)))
             assert got == repr(best_condition(data, rows)), f"trial {trial}"
-            assert got == repr(per_attribute_best_condition(data, rows)), f"trial {trial}"
-
-
-def _entropies(counts):
-    c = counts.astype(np.float64)
-    p = c / c.sum(axis=1, keepdims=True)
-    terms = np.zeros_like(p)
-    mask = c > 0
-    terms[mask] = p[mask] * np.log2(p[mask])
-    return -terms.sum(axis=1)
-
-
-def per_attribute_best_condition(data, rows):
-    """Reference split search: one stable sort and one gain vector per attribute."""
-    rows = np.asarray(rows, dtype=np.int64)
-    labels = data.labels[rows]
-    h = data.class_count
-    parent = np.bincount(labels, minlength=h)
-    parent_entropy = _entropies(parent[None, :])[0]
-    n = rows.size
-    best, best_gain = None, 0.0
-    for attribute in range(data.n_attributes):
-        column = data.values[rows, attribute]
-        if data.categories[attribute] is None:
-            order = np.argsort(column, kind="stable")
-            ordered = column[order]
-            bounds = np.nonzero(ordered[:-1] != ordered[1:])[0]
-            one_hot = np.zeros((n, h), dtype=np.int64)
-            one_hot[np.arange(n), labels[order]] = 1
-            valid = np.cumsum(one_hot, axis=0)[bounds]
-            lows, highs = ordered[bounds], ordered[bounds + 1]
-            midpoints = (lows + highs) / 2.0
-            values = np.where(midpoints < highs, midpoints, lows)
-            op = "le"
-        else:
-            values, inverse = np.unique(column, return_inverse=True)
-            if values.size < 2:
-                continue
-            valid = np.zeros((values.size, h), dtype=np.int64)
-            np.add.at(valid, (inverse, labels), 1)
-            op = "eq"
-        if values.size == 0:
-            continue
-        invalid = parent - valid
-        k = valid.shape[0]
-        sides = _entropies(np.concatenate([invalid, valid]))
-        gains = parent_entropy - (
-            (invalid.sum(axis=1) / n) * sides[:k] + (valid.sum(axis=1) / n) * sides[k:]
-        )
-        pick = int(np.argmax(gains))
-        if gains[pick] > best_gain:
-            best_gain = gains[pick]
-            best = Condition(attribute=attribute, op=op, value=float(values[pick]))
-    return best
+            want = oracles.per_attribute_best_condition(data, rows)
+            assert got == repr(want), f"trial {trial}"
 
 
 class TestSplitParams:
