@@ -34,6 +34,7 @@ EXIT_BAD_PARAMS = 11
 EXIT_OUTPUT_ERROR = 12
 EXIT_SCHEMA_MISMATCH = 13
 EXIT_TRACE_GUARDRAIL = 14
+EXIT_OUT_OF_MEMORY = 15
 
 TRACE_LINE_LIMIT = 10_000
 
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"treelab: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR
+    except MemoryError as exc:
+        print(f"treelab: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ finite number, categorical otherwise; categorical values (and the labels)
 are stored as dense integer codes assigned in first-appearance order, with
 the decoding tables kept on the dataset.  Cells are stripped of surrounding
 whitespace; cells equal to ``?`` or empty mark missing values, and rows
-holding one are dropped before anything else is inferred.  The loader reads
-the rows once and then each column straight out of them, one pass per
-column.
+holding one are dropped before anything else is inferred.  A file of plain
+numbers, one that ``csv.reader`` and numpy's C reader cannot read apart,
+has its attribute block parsed by one ``np.loadtxt`` call; any other file
+is read by ``csv.reader`` into rows, and then each column straight out of
+them, one pass per column.  Both give the same values and errors.
 
 All structures here are immutable after construction and safe to share
 across threads; the three operations are pure functions of their inputs,
@@ -145,6 +147,54 @@ def _rank_codes(values: np.ndarray, label_bits: int) -> tuple[np.ndarray, np.nda
     return codes, levels
 
 
+def _read_plain(
+    path, has_header: bool, m: int | None = None
+) -> tuple[tuple[str, ...] | None, np.ndarray, list[str] | None] | None:
+    """The header, the attribute matrix and the label cells of a plain file.
+
+    The first ``m`` columns (all but the last one by default) are read by
+    ``np.loadtxt``, and each label is the stripped last cell of its line, or
+    ``None`` for a file exactly ``m`` columns wide.  Returns ``None`` unless
+    the file reads as :func:`_read_rows` would read it: no quote, NUL or bare
+    ``\\r`` line end, no line longer than the csv field limit, every line as
+    wide as the first, at least one data row, no missing label and every
+    attribute a finite number.  numpy rejects each number cell that
+    ``float`` reads differently, such as ``1_000``, ``\\u0663`` or ``?``.
+    """
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
+    del text
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
+        return None
+    width = commas + 1
+    m = width - 1 if m is None else m
+    header = tuple(map(str.strip, lines.pop(0).split(","))) if has_header else None
+    if not lines or m < 1 or width not in (m, m + 1):
+        return None
+    labels = None
+    if width > m:
+        labels = [line[line.rindex(",") + 1:].strip() for line in lines]
+        if not MISSING_CELLS.isdisjoint(labels):
+            return None
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=range(m), ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), m) or not np.isfinite(values).all():
+        return None
+    return header, values, labels
+
+
 def _read_rows(
     path, has_header: bool
 ) -> tuple[tuple[str, ...] | None, int, list[tuple[str, ...]]]:
@@ -186,25 +236,19 @@ def _encode_category(cells) -> tuple[list[int], tuple[str, ...]]:
     return encoded, tuple(codes)
 
 
-def load_csv(path, *, has_header: bool = True) -> Dataset:
-    """Load a comma-separated dataset.
-
-    The last column always holds the class labels and is treated as
-    categorical.  Attribute columns are numeric when every cell parses as a
-    finite number.  Rows containing ``?`` or empty cells are dropped.
-    """
+def _read_columns(
+    path, has_header: bool
+) -> tuple[tuple[str, ...] | None, np.ndarray, list, list[str]]:
+    """The header, the values, the decoding tables and the label cells, by ``csv.reader``."""
     header, width, rows = _read_rows(path, has_header)
     if width < 2:
         raise DatasetError(f"{path}: need at least 2 columns (attributes + label)")
     if not rows:
         raise DatasetError(f"{path}: no data rows left after dropping missing values")
 
-    m = width - 1
-    attr_names = header[:m] if header else tuple(f"a{j}" for j in range(m))
-    label_name = header[m] if header else "label"
-
     # Each column is read straight out of the rows, one pass per use, so
     # the cells are never held a second time as columns.
+    m = width - 1
     values = np.empty((len(rows), m), dtype=np.float64)
     categories: list[tuple[str, ...] | None] = []
     for j in range(m):
@@ -217,12 +261,31 @@ def load_csv(path, *, has_header: bool = True) -> Dataset:
             encoded, table = _encode_category(map(pick, rows))
             categories.append(table)
             values[:, j] = encoded
+    return header, values, categories, [row[m] for row in rows]
 
-    label_codes, class_names = _encode_category(map(itemgetter(m), rows))
+
+def load_csv(path, *, has_header: bool = True) -> Dataset:
+    """Load a comma-separated dataset.
+
+    The last column always holds the class labels and is treated as
+    categorical.  Attribute columns are numeric when every cell parses as a
+    finite number.  Rows containing ``?`` or empty cells are dropped.
+    """
+    plain = _read_plain(path, has_header)
+    if plain is None:
+        header, values, categories, label_cells = _read_columns(path, has_header)
+    else:
+        header, values, label_cells = plain
+        categories = [None] * values.shape[1]
+    m = values.shape[1]
+    attr_names = header[:m] if header else tuple(f"a{j}" for j in range(m))
+    label_name = header[m] if header else "label"
+
+    label_codes, class_names = _encode_category(label_cells)
     if len(class_names) < 2:
         raise DatasetError(f"{path}: need at least 2 distinct classes")
     # The cells are read; free them before the dataset derives its codes.
-    del rows
+    del plain, label_cells
 
     return Dataset(
         name=Path(path).stem,
@@ -244,18 +307,24 @@ def load_prediction_rows(train: Dataset, path, *, has_header: bool = True) -> np
     missing cells are dropped; a non-numeric cell in a numeric column is a
     schema mismatch.
     """
-    header, width, rows = _read_rows(path, has_header)
     m = train.n_attributes
-    if width not in (m, m + 1):
-        raise SchemaMismatchError(
-            f"{path}: expected {m} or {m + 1} columns, found {width}"
-        )
+    plain = _read_plain(path, has_header, m) if train.numeric.all() else None
+    if plain is None:
+        header, width, rows = _read_rows(path, has_header)
+        if width not in (m, m + 1):
+            raise SchemaMismatchError(
+                f"{path}: expected {m} or {m + 1} columns, found {width}"
+            )
+    else:
+        header, matrix, _ = plain
     if header is not None:
-        expected = train.attr_names + ((train.label_name,) if width == m + 1 else ())
+        expected = train.attr_names + ((train.label_name,) if len(header) == m + 1 else ())
         if header != expected:
             raise SchemaMismatchError(
                 f"{path}: header {header!r} does not match training columns"
             )
+    if plain is not None:
+        return matrix
 
     matrix = np.empty((len(rows), m), dtype=np.float64)
     for j in range(m):

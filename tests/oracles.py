@@ -257,7 +257,8 @@ class SplitMix64:
 
 # Reference CSV loader: the per-cell parse the column-wise loader in
 # ``treelab.dataset`` replaced.  Every cell goes through ``parse_number``
-# on its own; the loader must agree with it cell for cell, error for error.
+# on its own; the loader, on its ``csv.reader`` path and on its
+# ``np.loadtxt`` path alike, must agree with it cell for cell, error for error.
 
 MISSING_CELLS = frozenset({"", "?"})
 
@@ -274,7 +275,7 @@ def read_rows(path):
     try:
         with open(path, newline="") as handle:
             rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     rows = [row for row in rows if row]
     if not rows:

@@ -19,6 +19,7 @@ from treelab import SplitParams, bench, cli, load_csv, run_cv
 from treelab.cli import (
     EXIT_BAD_PARAMS,
     EXIT_DATASET_ERROR,
+    EXIT_OUT_OF_MEMORY,
     EXIT_OUTPUT_ERROR,
     EXIT_SCHEMA_MISMATCH,
     EXIT_TRACE_GUARDRAIL,
@@ -158,7 +159,7 @@ class TestFoldSpec:
 
     def test_huge_range_fails_before_it_is_built(self, toy_csv, tmp_path):
         # Run in a child capped at 1 GiB of address space: building the
-        # billion-element list would end in MemoryError (exit 1), not 11.
+        # billion-element list would end in MemoryError (exit 15), not 11.
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -430,6 +431,47 @@ class TestLoaderErrors:
         assert code == EXIT_DATASET_ERROR
         assert f"cannot read {bad}" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["predict", "trace"])
+    def test_exit_15_without_traceback(self, tmp_path, command):
+        # 8 000 rows of 4 000 classes: the root search asks for ~300 MiB arrays,
+        # more than a child capped at 1 GiB of address space can map.
+        rng = np.random.default_rng(0)
+        train = tmp_path / "many.csv"
+        train.write_text("a,b,label\n" + "".join(
+            f"{a:.6f},{b:.6f},c{i // 2}\n" for i, (a, b) in enumerate(rng.normal(size=(8000, 2)))))
+        test = tmp_path / "test.csv"
+        test.write_text("a,b\n0.1,0.2\n")
+        out = tmp_path / "out.csv"
+        out.write_text("previous\n")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelab", command, "--train", str(train),
+             "--test", str(test), "--bootstraps", "1", "--out", str(out),
+             *(["--force"] if command == "trace" else [])],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.returncode == EXIT_OUT_OF_MEMORY, proc.stderr
+        assert proc.stderr.startswith("treelab: out of memory: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert out.read_text() == "previous\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "many.csv", "out.csv", "test.csv"]
+
+    def test_message_without_reason(self, toy_csv, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_csv", fail)
+        assert main(["benchmark", "--dataset", str(toy_csv), "--folds", "2",
+                     "--out", str(tmp_path / "r.csv")]) == EXIT_OUT_OF_MEMORY
+        assert capsys.readouterr().err == "treelab: out of memory: allocation failed\n"
 
 
 class TestTrace:

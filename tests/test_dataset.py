@@ -1,10 +1,13 @@
+import csv
+import io
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import awkward_datasets, dataset_from_arrays, random_dataset
@@ -26,6 +29,7 @@ from treelab import (
     load_prediction_rows,
     make_folds,
 )
+from treelab import dataset as dataset_module
 from treelab.dataset import row_indices
 
 
@@ -114,6 +118,9 @@ OTHER_CELLS = [
 ]
 LABEL_CELLS = ["x", " y ", "z", "1.0", "1.00", "?"]
 NAME_CELLS = ["p", "q", "r", "label", " s "]
+# Plain files: ASCII numbers and labels, no quoting, no bare \r line end.
+PLAIN_NUMBER_CELLS = ["1", " 1 ", "2.5", "-0", "+.5", "0.1", "1e-3", "-7.250000", "3.0E+2"]
+PLAIN_LABEL_CELLS = ["x", " y ", "z", "1.0", "1.00"]
 
 
 def csv_field(cell, quote):
@@ -123,24 +130,29 @@ def csv_field(cell, quote):
 
 
 @st.composite
-def csv_texts(draw, header, columns):
+def csv_texts(draw, header, columns, plain=False):
     """A CSV file: ``header`` if given, then rows whose cell ``j`` is drawn
-    from ``columns[j]``, with random quoting, line ends and blank lines."""
+    from ``columns[j]``, with random quoting, line ends and blank lines.
+    A ``plain`` file quotes no cell and ends its lines with LF or CRLF."""
     rows = draw(st.lists(
         st.tuples(*(st.sampled_from(pool) for pool in columns)), min_size=2, max_size=8))
     if header is not None:
         rows.insert(0, header)
-    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    line_end = draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * (not plain)))
     lines = [
-        ",".join(csv_field(cell, draw(st.booleans())) for cell in row) for row in rows
+        ",".join(csv_field(cell, not plain and draw(st.booleans())) for cell in row)
+        for row in rows
     ]
     for _ in range(draw(st.integers(0, 2))):
         # a blank line is skipped; a line of spaces is a one-cell row
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "", " "])))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "", "", " "][:3 if plain else 4])))
     return line_end.join(lines) + draw(st.sampled_from(["", line_end]))
 
 
-def cell_pools(draw, m):
+def cell_pools(draw, m, plain=False):
+    if plain:
+        return [PLAIN_NUMBER_CELLS] * m
     return [draw(st.sampled_from([NUMBER_CELLS, NUMBER_CELLS + OTHER_CELLS]))
             for _ in range(m)]
 
@@ -152,51 +164,220 @@ def outcome(load, *args, **kwargs):
         return None, (type(exc), str(exc))
 
 
+def traced_outcome(load, *args, **kwargs):
+    """:func:`outcome`, and the reader that read the file: ``csv.reader`` or ``loadtxt``."""
+    with mock.patch.object(dataset_module.csv, "reader", wraps=csv.reader) as reader:
+        result = outcome(load, *args, **kwargs)
+    return result, "csv.reader" if reader.called else "loadtxt"
+
+
+def assert_loads_match(path, has_header):
+    """``load_csv`` gives the reference's fields or error; returns the dataset and its reader."""
+    (train, error), reader = traced_outcome(load_csv, path, has_header=has_header)
+    want, want_error = outcome(reference_load_csv, path, has_header)
+    assert error == want_error
+    if train is not None:
+        assert train.values.tobytes() == want["values"].tobytes()
+        assert train.labels.tolist() == want["labels"]
+        for name in ("attr_names", "label_name", "class_names", "categories"):
+            assert getattr(train, name) == want[name], name
+    return train, reader
+
+
+def assert_prediction_rows_match(train, path, has_header):
+    """``load_prediction_rows`` gives the reference's matrix or error; returns its reader."""
+    (matrix, error), reader = traced_outcome(load_prediction_rows, train, path,
+                                             has_header=has_header)
+    want, want_error = outcome(reference_load_prediction_rows, train, path, has_header)
+    assert error == want_error
+    if matrix is not None:
+        assert matrix.shape == want.shape
+        assert matrix.tobytes() == want.tobytes()
+    return reader
+
+
+# Files that must read as csv.reader reads them, and the reader that reads
+# them: numpy's for plain numbers however padded, csv.reader for anything
+# numpy could read differently or that ends in an error.
+EDGE_FILES = {
+    "nul_in_number": ("a,b,label\n1\x00,2,x\n3,4,y\n", "csv.reader"),
+    "nul_in_label": ("a,b,label\n1,2,x\x00\n3,4,y\n", "csv.reader"),
+    "field_over_limit": ("a,b,label\n" + "1" * 131_073 + ",2,x\n3,4,y\n", "csv.reader"),
+    "line_over_limit": ("a,b,label\n1,2," + "x" * 131_070 + "\n3,4,y\n", "csv.reader"),
+    "row_wider_than_header": ("a,b,label\n1,2,x,9\n3,4,y\n", "csv.reader"),
+    "rows_wider_than_header": ("a,b,label\n1,2,x,9\n3,4,y,9\n", "csv.reader"),
+    "hash_in_number": ("a,b,label\n#1,2,x\n3,4,y\n", "csv.reader"),
+    "hash_in_label": ("a,b,label\n1,2,#x\n3,4,y#\n", "loadtxt"),
+    "unicode_space_padding": ("a,b,label\n\x0c1,2\x1c,x\n3\x85,\u20284,y\n", "loadtxt"),
+    "unicode_space_in_label": ("a,b,label\n1,2,x\x0cz\n3,4,\x1cy\x85\n5,6,w\u2028v\n",
+                               "loadtxt"),
+    "tab_and_nbsp_padding": ("a,b,label\n\t1\t,\xa02\xa0,x\n3,\t4,y\n", "loadtxt"),
+    "header_only": ("a,b,label\n", "csv.reader"),
+    "blank_line_before_header": ("\na,b,label\n1,2,x\n3,4,y\n", "loadtxt"),
+    "crlf_blank_lines": ("\r\na,b,label\r\n1,2,x\r\n\r\n3,4,y\r\n", "loadtxt"),
+    "question_label": ("a,b,label\n1,2,?\n3,4,y\n5,6,x\n", "csv.reader"),
+    "empty_label": ("a,b,label\n1,2, \n3,4,y\n5,6,x\n", "csv.reader"),
+    "bare_cr": ("a,b,label\r1,2,x\r3,4,y\r", "csv.reader"),
+    "quoted_number": ('a,b,label\n"1",2,x\n3,4,y\n', "csv.reader"),
+    "python_only_numbers": ("a,b,label\n1_000,\u0663,x\n3,4,y\n", "csv.reader"),
+    "non_finite": ("a,b,label\nnan,2,x\n3,1e400,y\n", "csv.reader"),
+    "line_of_spaces": ("a,b,label\n1,2,x\n \n3,4,y\n", "csv.reader"),
+}
+
+
 class TestLoaderMatchesReference:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_load_csv_and_prediction_rows(self, data):
         draw = data.draw
+        plain = draw(st.booleans())
         m = draw(st.integers(1, 3))
         has_header = draw(st.booleans())
         header = [draw(st.sampled_from(NAME_CELLS)) for _ in range(m + 1)]
+        labels = PLAIN_LABEL_CELLS if plain else LABEL_CELLS
         train_text = draw(csv_texts(header if has_header else None,
-                                    cell_pools(draw, m) + [LABEL_CELLS]))
+                                    cell_pools(draw, m, plain) + [labels], plain))
         with tempfile.TemporaryDirectory() as tmp:
             train_path = Path(tmp) / "train.csv"
             train_path.write_text(train_text, encoding="utf-8", newline="")
-            train, error = outcome(load_csv, train_path, has_header=has_header)
-            want, want_error = outcome(reference_load_csv, train_path, has_header)
-            assert error == want_error
+            train, reader = assert_loads_match(train_path, has_header)
+            event(f"{'plain' if plain else 'mixed'} load_csv: {reader}")
             if train is None:
                 return
-            assert train.values.tobytes() == want["values"].tobytes()
-            assert train.labels.tolist() == want["labels"]
-            for name in ("attr_names", "label_name", "class_names", "categories"):
-                assert getattr(train, name) == want[name], name
 
             width = draw(st.sampled_from([m, m, m + 1, m + 1, m + 2]))
             names = list(train.attr_names) + [train.label_name, "extra"]
             test_header = draw(st.sampled_from([names[:width]] * 3 + [["p"] * width]))
             test_text = draw(csv_texts(
                 test_header if has_header else None,
-                cell_pools(draw, m) + [LABEL_CELLS, ["0"]][:width - m]))
+                cell_pools(draw, m, plain) + [labels, ["0"]][:width - m], plain))
             test_path = Path(tmp) / "test.csv"
             test_path.write_text(test_text, encoding="utf-8", newline="")
-            matrix, error = outcome(load_prediction_rows, train, test_path,
-                                    has_header=has_header)
-            want, want_error = outcome(reference_load_prediction_rows, train,
-                                       test_path, has_header)
-            assert error == want_error
-            if matrix is not None:
-                assert matrix.shape == want.shape
-                assert matrix.tobytes() == want.tobytes()
+            reader = assert_prediction_rows_match(train, test_path, has_header)
+            event(f"{'plain' if plain else 'mixed'} load_prediction_rows: {reader}")
+
+    @pytest.mark.parametrize("case", sorted(EDGE_FILES))
+    def test_edge_files(self, tmp_path, case):
+        text, want_reader = EDGE_FILES[case]
+        path = tmp_path / "edge.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        _, reader = assert_loads_match(path, has_header=True)
+        assert reader == want_reader
+        train = load_csv(write(tmp_path, "a,b,label\n1,2,x\n3,4,y\n", name="train.csv"))
+        assert assert_prediction_rows_match(train, path, has_header=True) == want_reader
 
     def test_first_bad_cell_in_row_order_is_named(self, tmp_path):
         train = load_csv(write(tmp_path, "a,b,label\n1,2,x\n3,4,y\n"))
         test = write(tmp_path, "a,b\n1,2\n5,nan\nzz,1e400\nyy,3\n", name="test.csv")
         with pytest.raises(DatasetError, match="non-numeric cell 'zz' in numeric column 'a'"):
             load_prediction_rows(train, test)
+
+
+class CsvReaderCalled(Exception):
+    pass
+
+
+def refuse_csv_reader(*args, **kwargs):
+    raise CsvReaderCalled
+
+
+def numeric_csv_text(rng, rows, m, *, labels, line_end, has_header):
+    """Numbers printed as the benchmark tables and ``repr`` print them."""
+    formats = ["{:.6f}", "{!r}", "{:.17g}", "{:e}", "{:.0f}"]
+    lines = [",".join([f"x{j}" for j in range(m)] + ["label"] * labels)] * has_header
+    for i, row in enumerate(rng.normal(scale=100.0, size=(rows, m)).tolist()):
+        cells = [formats[(i + j) % len(formats)].format(v) for j, v in enumerate(row)]
+        lines.append(",".join(cells + [f"k{i % 3}"] * labels))
+    return line_end.join(lines) + line_end
+
+
+class TestPlainFastPath:
+    """All-numeric, quote-free files are parsed without ``csv.reader``."""
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_numeric_files_skip_csv_reader(self, tmp_path, monkeypatch, line_end, has_header):
+        rng = np.random.default_rng(7)
+        train_path = write(tmp_path, numeric_csv_text(
+            rng, 60, 4, labels=True, line_end=line_end, has_header=has_header), "train.csv")
+        test_path = write(tmp_path, numeric_csv_text(
+            rng, 25, 4, labels=False, line_end=line_end, has_header=has_header), "test.csv")
+        # csv.reader's reading: the loaders with the numpy path turned off
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset_module, "_read_plain", lambda *args, **kwargs: None)
+            want = load_csv(train_path, has_header=has_header)
+            want_matrix = load_prediction_rows(want, test_path, has_header=has_header)
+
+        monkeypatch.setattr(dataset_module.csv, "reader", refuse_csv_reader)
+        got = load_csv(train_path, has_header=has_header)
+        for name in ("name", "attr_names", "class_names", "categories", "label_name"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("values", "labels", "numeric", "codes", "levels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        matrix = load_prediction_rows(got, test_path, has_header=has_header)
+        assert matrix.shape == want_matrix.shape == (25, 4)
+        assert matrix.tobytes() == want_matrix.tobytes()
+
+    def test_categorical_column_reads_through_csv_reader(self, tmp_path, monkeypatch):
+        numeric_train = write(tmp_path, "a,b,label\n1,2,x\n3,4,y\n", "numeric.csv")
+        mixed_train = write(tmp_path, "a,b,label\n1,u,x\n3,v,y\n", "mixed.csv")
+        mixed = load_csv(mixed_train)
+        numeric = load_csv(numeric_train)
+        monkeypatch.setattr(dataset_module.csv, "reader", refuse_csv_reader)
+        load_csv(numeric_train)
+        with pytest.raises(CsvReaderCalled):
+            load_csv(mixed_train)
+        # a numeric file scored against a categorical schema, too
+        load_prediction_rows(numeric, numeric_train)
+        with pytest.raises(CsvReaderCalled):
+            load_prediction_rows(mixed, write(tmp_path, "a,b\n1,2\n", "test.csv"))
+
+
+LOADTXT = {"delimiter": ",", "comments": None, "dtype": np.float64, "ndmin": 2}
+
+
+class TestLoadtxtContract:
+    """The ``np.loadtxt`` behaviour the loader's numpy path relies on.
+
+    A numpy release that changes any of it fails here, instead of quietly
+    changing which reader a file takes or the values it gets.
+    """
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0663", "?", "", " ", '"1"', "1#", "0x10"])
+    def test_rejects_what_float_reads_otherwise(self, cell):
+        with pytest.raises(ValueError):
+            np.loadtxt([f"{cell},x", "1,y"], usecols=range(1), **LOADTXT)
+
+    def test_rejects_bare_carriage_return(self):
+        for lines in (["1,x\r2,y"], io.StringIO("1,x\r2,y\r")):
+            with pytest.raises(ValueError):
+                np.loadtxt(lines, usecols=range(1), **LOADTXT)
+
+    def test_accepts_crlf_and_skips_blank_lines(self):
+        for lines in (io.StringIO("1,x\r\n\r\n2,y\r\n"), ["1,x", "", "2,y"]):
+            assert np.loadtxt(lines, usecols=range(1), **LOADTXT).tolist() == [[1.0], [2.0]]
+
+    def test_skips_columns_outside_usecols_unparsed(self):
+        got = np.loadtxt(["1,2,x\"#", "3,4,?"], usecols=range(2), **LOADTXT)
+        assert got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_strips_what_str_strip_strips(self):
+        pads = "\t\x0c\x1c\x85\xa0\u2028 "
+        got = np.loadtxt([f"{pads}1.5{pads},x"], usecols=range(1), **LOADTXT)
+        assert got.tolist() == [[1.5]]
+
+    @pytest.mark.parametrize("fmt", ["{:.6f}", "{:.17g}", "{:e}", "{!r}"])
+    def test_doubles_equal_float(self, fmt):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 1 << 64, size=20_000, dtype=np.uint64, endpoint=False)
+        doubles = bits.view(np.float64)
+        doubles = np.concatenate([doubles[np.isfinite(doubles)], rng.normal(size=2_000),
+                                  [0.0, -0.0, 5e-324, 1.7976931348623157e308]])
+        cells = [fmt.format(v) for v in doubles.tolist()]
+        got = np.loadtxt([f"{cell},x" for cell in cells], usecols=range(1), **LOADTXT)
+        want = np.array([float(cell) for cell in cells])
+        assert got[:, 0].tobytes() == want.tobytes()
 
 
 class TestMakeFolds:
