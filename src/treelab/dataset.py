@@ -20,7 +20,7 @@ including the seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,30 +41,25 @@ class SchemaMismatchError(DatasetError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A column-typed table of observations with integer-coded class labels.
+    """A column-typed table of observations, held as rank codes, with coded labels.
 
-    ``values`` is an ``(n_rows, n_attributes)`` float matrix; categorical
-    cells hold their integer code (exact in float64).  ``categories[j]`` is
-    the decoding table of attribute ``j``, or ``None`` for numeric columns,
-    and so the one record of each attribute's kind.  ``numeric`` is derived
-    from it: a read-only bool mask that is true for the numeric attributes.
-    Every value must be finite.
-
-    The split search reads two more derived, read-only fields.  ``levels``
-    holds each column's distinct values in ascending order, column after
-    column.  ``codes`` is an ``(n_attributes, n_rows)`` array of indices into
-    it, so ``levels[codes[j]] == values[:, j]``: a cell's code is its value's
-    rank in its column plus the column's offset, and no two columns share a
-    code.  Codes are int32 unless ``levels.size << label_bits`` exceeds its
-    maximum, so a split-search key, ``code << label_bits | label``, always
-    fits their dtype.  They cost memory beside ``values``: on a
-    20 000 x 20 numeric table of distinct values, 1.5 MiB of codes and
-    3.1 MiB of levels.
+    ``levels`` holds each column's distinct values in ascending order, column
+    after column, and ``codes`` is an ``(n_attributes, n_rows)`` array of
+    indices into it: a cell's value's rank in its column plus the column's
+    offset, so no two columns share a code.  Codes are int32 unless
+    ``levels.size << label_bits`` exceeds its maximum, so a split-search key,
+    ``code << label_bits | label``, fits their dtype.  The constructor derives
+    both from ``values``, a finite ``(n_rows, n_attributes)`` float matrix
+    with categorical cells as codes, and keeps no copy of it.  Reading
+    ``values`` decodes them once; the package never does.  Equal values share
+    a level, so a column's zeros all read back as one of ``0.0`` and ``-0.0``,
+    which no comparison tells apart.  ``categories[j]`` decodes attribute
+    ``j`` (``None``: numeric); ``numeric`` is its read-only mask.
     """
 
     name: str
     attr_names: tuple[str, ...]
-    values: np.ndarray
+    values: InitVar[np.ndarray]
     labels: np.ndarray
     class_names: tuple[str, ...]
     categories: tuple[tuple[str, ...] | None, ...]
@@ -73,11 +68,9 @@ class Dataset:
     codes: np.ndarray = field(init=False, repr=False, compare=False)
     levels: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+    def __post_init__(self, values):
+        values = np.asarray(values, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
         if values.ndim != 2:
             raise DatasetError("values must be a 2-D matrix")
         n, m = values.shape
@@ -98,18 +91,25 @@ class Dataset:
             raise DatasetError("values must be finite")
         numeric = np.array([table is None for table in self.categories])
         codes, levels = _rank_codes(values, self.label_bits)
-        for name, array in (("values", values), ("labels", labels), ("numeric", numeric),
+        for name, array in (("labels", labels), ("numeric", numeric),
                             ("codes", codes), ("levels", levels)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
+    def __getattr__(self, name):  # reached only while ``name`` is unset
+        if name != "values":
+            raise AttributeError(name)
+        self.__dict__["values"] = values = self.levels[self.codes.T]
+        values.setflags(write=False)
+        return values
+
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.codes.shape[1]
 
     @property
     def n_attributes(self) -> int:
-        return self.values.shape[1]
+        return self.codes.shape[0]
 
     @property
     def class_count(self) -> int:
@@ -125,9 +125,8 @@ def _rank_codes(values: np.ndarray, label_bits: int) -> tuple[np.ndarray, np.nda
     """The ``(codes, levels)`` pair of :class:`Dataset`.
 
     Each column is sorted on its own, so the scratch is a few columns long;
-    a level starts wherever the sorted value changes (``-0.0`` and ``0.0``
-    are one level).  A cell's rank in its column plus the levels of the
-    columns before it is its code.
+    a level starts wherever the sorted value changes, so ``-0.0`` and
+    ``0.0`` are one level.
     """
     codes = np.empty(values.shape[::-1], dtype=np.int32)
     levels = []
@@ -168,28 +167,29 @@ def _read_plain(
         return None
     if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
-    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
+    lines = list(filter(None, text.replace("\r\n", "\n").split("\n")))
     del text
     if not lines or max(map(len, lines)) > csv.field_size_limit():
         return None
-    commas = lines[0].count(",")
-    if any(line.count(",") != commas for line in lines):
-        return None
-    width = commas + 1
+    width = lines[0].count(",") + 1
     m = width - 1 if m is None else m
     header = tuple(map(str.strip, lines.pop(0).split(","))) if has_header else None
     if not lines or m < 1 or width not in (m, m + 1):
+        return None
+    # Parsed before the checks that read every line in Python: numpy stops
+    # at the first bad cell, on the first data line of a categorical file.
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=range(m), ndmin=2)
+    except ValueError:
+        return None
+    if any(line.count(",") + 1 != width for line in lines):
         return None
     labels = None
     if width > m:
         labels = [line[line.rindex(",") + 1:].strip() for line in lines]
         if not MISSING_CELLS.isdisjoint(labels):
             return None
-    try:
-        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                            usecols=range(m), ndmin=2)
-    except ValueError:
-        return None
     if values.shape != (len(lines), m) or not np.isfinite(values).all():
         return None
     return header, values, labels
@@ -367,7 +367,7 @@ def as_test_matrix(data: Dataset, test) -> np.ndarray:
     """
     arr = np.asarray(test)
     if arr.ndim == 1:
-        return data.values[row_indices(data, arr)]
+        return data.levels[data.codes[:, row_indices(data, arr)].T]
     if arr.ndim == 2 and arr.shape[1] == data.n_attributes:
         return np.asarray(arr, dtype=np.float64)
     raise ValueError("test must be row indices or an (n_s, n_attributes) matrix")

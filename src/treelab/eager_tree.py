@@ -169,7 +169,7 @@ def build_tree(
         if on_visit is not None:
             on_visit(event)
 
-    walk(data, rows, params, metrics, EAGER, test_matrix=data.values[:0],
+    walk(data, rows, params, metrics, EAGER, test_matrix=np.empty((0, data.n_attributes)),
          positions=np.empty(0, dtype=np.int64), votes=np.empty((0, data.class_count)),
          share=0.0, on_visit=add_node, bootstrap_index=bootstrap_index)
     return nodes[()]

@@ -211,7 +211,7 @@ def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:
 def partition(cond: Condition, data: Dataset, rows) -> tuple[np.ndarray, np.ndarray]:
     """Stable split of ``rows`` into (invalid, valid) by one condition."""
     rows = np.asarray(rows, dtype=np.int64)
-    mask = valid_mask(cond, data.values[rows, cond.attribute])
+    mask = valid_mask(cond, data.levels[data.codes[cond.attribute, rows]])
     return rows[~mask], rows[mask]
 
 

@@ -126,8 +126,11 @@ AWKWARD_VALUES = [
 
 
 @st.composite
-def awkward_datasets(draw):
-    """A small numeric dataset of awkward doubles and 2-9 classes."""
+def awkward_tables(draw):
+    """A small numeric table of awkward doubles and 2-9 classes.
+
+    Returns the value matrix the dataset was built from and the dataset.
+    """
     n = draw(st.integers(1, 30))
     m = draw(st.integers(1, 5))
     pool = draw(st.lists(st.sampled_from(AWKWARD_VALUES) | st.floats(-1e3, 1e3),
@@ -136,5 +139,10 @@ def awkward_datasets(draw):
                                     max_size=n * m))).reshape(n, m)
     class_count = draw(st.integers(2, 9))
     labels = draw(st.lists(st.integers(0, class_count - 1), min_size=n, max_size=n))
-    return dataset_from_arrays(values, labels,
-                               class_names=tuple(f"k{c}" for c in range(class_count)))
+    return values, dataset_from_arrays(values, labels, class_names=tuple(
+        f"k{c}" for c in range(class_count)))
+
+
+def awkward_datasets():
+    """The datasets of :func:`awkward_tables`."""
+    return awkward_tables().map(lambda table: table[1])

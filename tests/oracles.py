@@ -62,10 +62,11 @@ def holds(cond, cell):
     return cell <= cond.value if cond.op == "le" else cell == cond.value
 
 
-def split_rows(data, rows, cond):
+def split_rows(values, rows, cond):
+    """``rows`` split into (invalid, valid) by ``cond`` on a value matrix."""
     invalid, valid = [], []
     for r in rows:
-        (valid if holds(cond, data.values[r, cond.attribute]) else invalid).append(r)
+        (valid if holds(cond, values[r, cond.attribute]) else invalid).append(r)
     return invalid, valid
 
 
@@ -81,7 +82,7 @@ def route_row(tree, row):
 
 
 def gain_of(data, rows, cond):
-    invalid, valid = split_rows(data, rows, cond)
+    invalid, valid = split_rows(data.values, rows, cond)
     if not invalid or not valid:
         return None
     h = data.class_count
@@ -178,7 +179,7 @@ def expand_recursion(data, rows, params):
             out.append((path, list(rows), "leaf", label))
             return
         out.append((path, list(rows), "split", cond))
-        invalid, valid = split_rows(data, rows, cond)
+        invalid, valid = split_rows(data.values, rows, cond)
         rec(invalid, depth + 1, path + (0,))
         rec(valid, depth + 1, path + (1,))
 

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import awkward_datasets, dataset_from_arrays, random_dataset
+from conftest import awkward_datasets, awkward_tables, dataset_from_arrays, random_dataset
 from oracles import (
     SplitMix64,
+    iter_candidates,
     per_attribute_best_condition,
     reference_load_csv,
     reference_load_prediction_rows,
 )
 from treelab import (
+    Condition,
     DatasetError,
     SplitParams,
     best_condition,
@@ -28,9 +30,12 @@ from treelab import (
     load_csv,
     load_prediction_rows,
     make_folds,
+    partition,
+    run_cv,
 )
 from treelab import dataset as dataset_module
 from treelab.dataset import row_indices
+from treelab.trace import format_trace_line
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -532,14 +537,16 @@ class TestRankCodes:
         with pytest.raises(DatasetError, match="finite"):
             dataset_from_arrays([[1.0, 2.0], [bad, 3.0]], [0, 1])
 
-    @given(data=awkward_datasets())
+    @given(table=awkward_tables())
     @settings(max_examples=200, deadline=None)
-    def test_levels_decode_codes(self, data):
+    def test_levels_decode_codes(self, table):
+        values, data = table
         assert data.codes.shape == (data.n_attributes, data.n_rows)
         assert data.codes.dtype == np.int32
         assert not data.codes.flags.writeable and not data.levels.flags.writeable
         for j in range(data.n_attributes):
-            assert np.array_equal(data.levels[data.codes[j]], data.values[:, j])
+            assert np.array_equal(data.levels[data.codes[j]], values[:, j])
+        assert np.array_equal(data.values, values) and not data.values.flags.writeable
 
     @given(data=awkward_datasets())
     @settings(max_examples=200, deadline=None)
@@ -555,17 +562,77 @@ class TestRankCodes:
             first += used.size
         assert first == data.levels.size
 
-    def test_int32_on_the_benchmark_tables(self, tmp_path):
+    BENCHMARK_TABLES = ("cv.csv", "big_train.csv", "cat_train.csv")
+
+    @pytest.fixture(scope="class")
+    def benchmark_dir(self, tmp_path_factory):
+        """The seed-5 benchmark workload files, generated once for the class."""
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
         try:
             import workloads
         finally:
             sys.path.pop(0)
+        work = tmp_path_factory.mktemp("benchmark")
         for generate in (workloads.generate_paper_cv, workloads.generate_big_predict,
                          workloads.generate_categorical_trace):
-            generate(5, tmp_path)
-        for name in ("cv.csv", "big_train.csv", "cat_train.csv"):
-            assert load_csv(tmp_path / name).codes.dtype == np.int32, name
+            generate(5, work)
+        return work
+
+    def test_int32_on_the_benchmark_tables(self, benchmark_dir):
+        for name in self.BENCHMARK_TABLES:
+            assert load_csv(benchmark_dir / name).codes.dtype == np.int32, name
+
+    def test_benchmark_tables_held_once(self, benchmark_dir):
+        # The rank codes are the one stored form of a table: no field is a
+        # float value matrix beside them.
+        for name in self.BENCHMARK_TABLES:
+            data = load_csv(benchmark_dir / name)
+            shape = (data.n_rows, data.n_attributes)
+            for field, array in vars(data).items():
+                if isinstance(array, np.ndarray):
+                    assert not (array.dtype == np.float64 and array.shape == shape), (name, field)
+
+    def test_cv_never_decodes_the_values(self, benchmark_dir):
+        tables = {"cv": load_csv(benchmark_dir / "cv.csv"),
+                  "mixed": random_dataset(np.random.default_rng(4), 60, 2, 2, 3)}
+        for name, data in tables.items():
+            for algorithm in ("dt", "lazy", "batched"):
+                run_cv(data, algorithm, 2, 1, SplitParams(max_depth=3), seed=0)
+                assert "values" not in vars(data), (name, algorithm)
+
+    def test_both_zeros_read_as_one_zero(self):
+        # levels keeps one zero per column, so in a column holding both
+        # zeros each of them decodes as the same one: equal to the input,
+        # and the partitions, traces and predictions are those of the table
+        # with every zero +0.0.
+        rng = np.random.default_rng(8)
+        mixed = rng.choice([-0.0, 0.0, -1.5, 0.5, 2.0], size=(40, 2))
+        labels = rng.integers(0, 3, size=40)
+        positive = mixed + 0.0  # -0.0 + 0.0 is +0.0
+        zero = mixed == 0
+        assert np.signbit(mixed[zero]).any() and not np.signbit(mixed[zero]).all()
+        data, plain = (dataset_from_arrays(values, labels) for values in (mixed, positive))
+        assert np.array_equal(data.values, mixed)
+        for j in range(2):
+            assert np.unique(np.signbit(data.values[zero[:, j], j])).size == 1
+
+        rows = np.arange(40)
+        conditions = list(iter_candidates(plain, rows)) + [
+            Condition(attribute=j, op=op, value=value)
+            for j in range(2) for op in ("le", "eq") for value in (0.0, -0.0)]
+        for cond in conditions:
+            for got, want in zip(partition(cond, data, rows), partition(cond, plain, rows)):
+                assert got.tolist() == want.tolist()
+        params = SplitParams(min_count=2)
+        for fit in (fit_predict_eager, fit_predict_lazy, fit_predict_batched):
+            for test, plain_test in ((rows[30:], rows[30:]), (mixed, positive)):
+                traces = []
+                for table, table_test in ((data, test), (plain, plain_test)):
+                    lines = []
+                    got, _ = fit(table, rows[:30], table_test, 3, params, 11,
+                                 on_visit=lambda event: lines.append(format_trace_line(event)))
+                    traces.append((got.tobytes(), lines))
+                assert traces[0] == traces[1]
 
     def test_int64_when_keys_overflow_int32(self):
         # 2**17 levels shifted by the 15 label bits of 2**14 + 1 classes make

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import awkward_datasets, dataset_from_arrays, gaussian_dataset, random_dataset
+from conftest import (
+    awkward_datasets,
+    awkward_tables,
+    dataset_from_arrays,
+    gaussian_dataset,
+    random_dataset,
+)
 from treelab import (
     Condition,
     SplitParams,
@@ -142,6 +148,18 @@ class TestPartition:
         pos = {row: i for i, row in enumerate(rows.tolist())}
         assert [pos[r] for r in invalid.tolist()] == sorted(pos[r] for r in invalid.tolist())
         assert [pos[r] for r in valid.tolist()] == sorted(pos[r] for r in valid.tolist())
+
+    @given(table=awkward_tables(), picks=st.lists(st.integers(0, 29), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_split_rows_on_the_input_values(self, table, picks):
+        # partition reads the rank codes; the oracle tests each candidate on
+        # the matrix the dataset was built from, rows repeated as drawn.
+        values, data = table
+        rows = np.array(picks) % data.n_rows
+        for cond in oracles.iter_candidates(data, rows):
+            invalid, valid = partition(cond, data, rows)
+            want_invalid, want_valid = oracles.split_rows(values, rows, cond)
+            assert invalid.tolist() == want_invalid and valid.tolist() == want_valid
 
 
 class TestBestCondition:
