@@ -39,22 +39,25 @@ class SchemaMismatchError(DatasetError):
     """A prediction file whose columns do not line up with the training data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A column-typed table of observations, held as rank codes, with coded labels.
 
     ``levels`` holds each column's distinct values in ascending order, column
     after column, and ``codes`` is an ``(n_attributes, n_rows)`` array of
     indices into it: a cell's value's rank in its column plus the column's
-    offset, so no two columns share a code.  Codes are int32 unless
-    ``levels.size << label_bits`` exceeds its maximum, so a split-search key,
-    ``code << label_bits | label``, fits their dtype.  The constructor derives
-    both from ``values``, a finite ``(n_rows, n_attributes)`` float matrix
-    with categorical cells as codes, and keeps no copy of it.  Reading
-    ``values`` decodes them once; the package never does.  Equal values share
-    a level, so a column's zeros all read back as one of ``0.0`` and ``-0.0``,
-    which no comparison tells apart.  ``categories[j]`` decodes attribute
-    ``j`` (``None``: numeric); ``numeric`` is its read-only mask.
+    offset, so no two columns share a code; column ``j``'s levels are
+    ``levels[offsets[j]:offsets[j + 1]]`` (a tuple of ints, which index
+    fastest).  Codes are int32 unless ``levels.size << label_bits`` exceeds
+    its maximum, so a split-search key, ``code << label_bits | label``, fits
+    their dtype.  The constructor derives all three from ``values``, a
+    finite ``(n_rows, n_attributes)`` float matrix with categorical cells as
+    codes, and keeps no copy of it.  Reading ``values`` decodes them once;
+    the package never does.  Equal values share a level, so a column's zeros
+    all read back as one of ``0.0`` and ``-0.0``, which no comparison tells
+    apart.  ``categories[j]`` decodes attribute ``j`` (``None``: numeric);
+    ``numeric`` is its read-only mask.  Two datasets compare equal only if
+    they are the same object.
     """
 
     name: str
@@ -64,9 +67,10 @@ class Dataset:
     class_names: tuple[str, ...]
     categories: tuple[tuple[str, ...] | None, ...]
     label_name: str = "label"
-    numeric: np.ndarray = field(init=False, repr=False, compare=False)
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
-    levels: np.ndarray = field(init=False, repr=False, compare=False)
+    numeric: np.ndarray = field(init=False, repr=False)
+    codes: np.ndarray = field(init=False, repr=False)
+    levels: np.ndarray = field(init=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self, values):
         values = np.asarray(values, dtype=np.float64)
@@ -90,7 +94,8 @@ class Dataset:
         if not np.isfinite(values).all():
             raise DatasetError("values must be finite")
         numeric = np.array([table is None for table in self.categories])
-        codes, levels = _rank_codes(values, self.label_bits)
+        codes, levels, offsets = _rank_codes(values, self.label_bits)
+        object.__setattr__(self, "offsets", offsets)
         for name, array in (("labels", labels), ("numeric", numeric),
                             ("codes", codes), ("levels", levels)):
             array.setflags(write=False)
@@ -121,8 +126,8 @@ class Dataset:
         return max(1, (self.class_count - 1).bit_length())
 
 
-def _rank_codes(values: np.ndarray, label_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(codes, levels)`` pair of :class:`Dataset`.
+def _rank_codes(values: np.ndarray, label_bits: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The ``(codes, levels, offsets)`` of :class:`Dataset`.
 
     Each column is sorted on its own, so the scratch is a few columns long;
     a level starts wherever the sorted value changes, so ``-0.0`` and
@@ -138,12 +143,12 @@ def _rank_codes(values: np.ndarray, label_bits: int) -> tuple[np.ndarray, np.nda
         np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
         levels.append(ordered[starts])
         codes[j, order] = np.cumsum(starts, dtype=np.int32) - 1
-    sizes = np.array([distinct.size for distinct in levels])
+    offsets = np.cumsum([0] + [distinct.size for distinct in levels])
     levels = np.concatenate(levels)
     if levels.size << label_bits > np.iinfo(np.int32).max:
         codes = codes.astype(np.int64)
-    codes += (np.cumsum(sizes) - sizes).astype(codes.dtype)[:, None]
-    return codes, levels
+    codes += offsets[:-1].astype(codes.dtype)[:, None]
+    return codes, levels, tuple(offsets.tolist())
 
 
 def _read_plain(

@@ -27,15 +27,35 @@ contiguous row of doubles (:func:`_class_sum`): the gains equal those of a
 per-group ``sum(axis=1)`` bit for bit, and the order is pinned here rather
 than left to numpy.
 
-Two-class nodes of up to ``TABLE_ROWS`` rows need only class-0 counts.  A
-block takes one running count of class-0 rows in sort order, which restarts
-on each attribute row: a numeric group's valid side reads it at the group's
-last cell, and a categorical group subtracts the count just before its
-start, none at the start of a row.  The node's entropy and its sides' come
-from a table built once per process, by :func:`_entropies` itself, the first
-time such a node is searched: a two-class side's entropy depends only on its
-size and its class-0 count.  The gains are the same doubles as on the direct
-path, which larger nodes and nodes of other class counts keep.
+The path is picked by the classes the node holds, not by the table's class
+count.  A node of up to ``TABLE_ROWS`` rows that holds exactly two classes
+(``parent.nonzero()``) needs only counts of the lower one: its keys carry
+label 1 for the higher class, and a block takes one running count of label-0
+rows in sort order, which restarts on each attribute row.  Side and node
+entropies come from a table built once per process, by :func:`_entropies`
+itself, the first time such a node is searched: such a side's entropy
+depends only on its size and its count of the lower class, at which the
+table is read.  This is bit-safe whatever the table's class count.  On the
+direct path, a column with two non-zero class rows has its zero rows' terms
+masked to ``+0.0``, and ``x + 0.0`` is ``x`` exactly for every non-zero
+``x``, so however :func:`_class_sum` orders its adds, one rounding add meets
+the two non-zero terms; they are the same elementwise doubles (``p`` and its
+``log2``) as in the table's two-row column, and addition commutes.  One
+non-zero row, or none, sums to ``+0.0`` either way.  Both paths then share
+the gain formula.
+
+In an all-numeric block where most neighbouring cells differ, such a node
+scores one candidate per cut between unequal neighbours: the cut after cell
+``j`` of a row leaves ``j + 1`` rows valid, so the side sizes, their table
+offsets and weights are vectors indexed by ``j``.  The cut after a row's
+last cell leaves no row invalid and scores ``0.0``, which never wins.  Where
+most cells sit inside a group, scoring every cell costs more than grouping
+them, so other blocks score one candidate per group: a numeric group's
+valid side reads the running count at the group's last cell, and a
+categorical group subtracts the count just before its start, none at the
+start of a row.  Larger nodes and nodes of one or of three or more classes
+take the direct path, whose one entropy pass per block covers both sides of
+every candidate and the node itself.
 """
 
 from __future__ import annotations
@@ -128,13 +148,17 @@ def _entropies(counts: np.ndarray, totals) -> np.ndarray:
     ``totals`` holds the column sums.  ``log2`` runs over the whole contiguous
     array and zero counts are masked afterwards: ``log2(..., where=...)``
     takes another loop, which can round differently and so change which
-    split wins a near tie.
+    split wins a near tie.  A zero count's term is NaN (``0 * -inf``, or
+    ``0 / 0`` in an empty column) and every other term is finite and at
+    most ``+0.0`` (never ``-0.0``: ``p = 1`` gives ``1 * +0.0``), so
+    ``fmin(term, 0.0)`` sets exactly the zero counts' terms to ``+0.0`` in
+    one pass and keeps every other term's bits.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / np.asarray(totals, dtype=np.float64)
         terms = np.log2(p)
         terms *= p
-    np.copyto(terms, 0.0, where=counts == 0)
+    np.fmin(terms, 0.0, out=terms)
     return -_class_sum(terms)
 
 
@@ -165,11 +189,12 @@ def _entropy_table() -> np.ndarray:
 
 def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
                  n_valid: np.ndarray) -> np.ndarray:
-    """Information gains of a two-class node of at most ``TABLE_ROWS`` rows.
+    """Information gains of a node of at most ``TABLE_ROWS`` rows and two classes.
 
-    ``parent0`` is the node's class-0 count; each candidate's valid side
-    holds ``n_valid`` rows, ``valid0`` of them of class 0, and its invalid
-    side is the rest of the node.  Both side entropies come from the table.
+    ``parent0`` is the node's count of its lower class; each candidate's
+    valid side holds ``n_valid`` rows, ``valid0`` of them of that class, and
+    its invalid side is the rest of the node.  Both side entropies come from
+    the table.
     """
     table = _entropy_table()
     n_invalid = n - n_valid
@@ -178,26 +203,26 @@ def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
     return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
 
 
-def _gains(parent_entropy, parent: np.ndarray, valid: np.ndarray,
-           n_valid: np.ndarray) -> np.ndarray:
+def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
     """Information gain of each column of a ``(classes, k)`` valid-side matrix.
 
-    ``parent`` is the class histogram of all rows, ``parent_entropy`` its
-    entropy and ``n_valid`` the column sums of ``valid``; the invalid side
-    is the rest of the parent.  This is the direct path: :func:`best_condition`
-    scores two-class nodes of at most ``TABLE_ROWS`` rows with
-    :func:`_table_gains` instead.
+    ``parent`` is the class histogram of all rows and ``n_valid`` the column
+    sums of ``valid``; the invalid side is the rest of the parent.  This is
+    the direct path: :func:`best_condition` scores nodes of at most
+    ``TABLE_ROWS`` rows that hold two classes with :func:`_table_gains`
+    instead.
     """
     n = parent.sum()
     n_invalid = n - n_valid
-    # Both sides in one entropy pass, invalid columns first; columns are
-    # reduced independently.
+    # Both sides and the parent in one entropy pass: invalid columns, valid
+    # columns, then the parent's; columns are reduced independently.
     k = n_valid.size
-    sides = np.empty((parent.size, 2 * k))
+    sides = np.empty((parent.size, 2 * k + 1))
     np.subtract(parent[:, None], valid, out=sides[:, :k])
-    sides[:, k:] = valid
-    entropies = _entropies(sides, np.concatenate([n_invalid, n_valid]))
-    e_invalid, e_valid = entropies[:k], entropies[k:]
+    sides[:, k:-1] = valid
+    sides[:, -1] = parent
+    entropies = _entropies(sides, np.concatenate([n_invalid, n_valid, [n]]))
+    e_invalid, e_valid, parent_entropy = entropies[:k], entropies[k:-1], entropies[-1]
     return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
 
 
@@ -209,9 +234,21 @@ def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:
 
 
 def partition(cond: Condition, data: Dataset, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Stable split of ``rows`` into (invalid, valid) by one condition."""
+    """Stable split of ``rows`` into (invalid, valid) by one condition.
+
+    The condition becomes one bound on the attribute's rank codes: the
+    first code above the threshold, or the code of the tested value (-1,
+    which no cell holds, when the value is none of the column's levels).
+    """
     rows = np.asarray(rows, dtype=np.int64)
-    mask = valid_mask(cond, data.levels[data.codes[cond.attribute, rows]])
+    start, stop = data.offsets[cond.attribute], data.offsets[cond.attribute + 1]
+    levels = data.levels[start:stop]
+    codes = data.codes[cond.attribute, rows]
+    if cond.op == "le":
+        mask = codes < start + int(levels.searchsorted(cond.value, side="right"))
+    else:
+        at = int(levels.searchsorted(cond.value))
+        mask = codes == (start + at if at < levels.size and levels[at] == cond.value else -1)
     return rows[~mask], rows[mask]
 
 
@@ -228,15 +265,17 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     if rows.size == 0:
         raise ValueError("best_condition needs at least one row")
     n = rows.size
-    class_count = data.class_count
     labels = data.labels[rows]
-    parent = np.bincount(labels, minlength=class_count) if hist is None else hist
-    # A two-class node of up to TABLE_ROWS rows needs only class-0 counts.
-    two_class = class_count == 2 and n <= TABLE_ROWS
+    parent = np.bincount(labels, minlength=data.class_count) if hist is None else hist
+    present = parent.nonzero()[0]
+    # A node of up to TABLE_ROWS rows that holds two classes needs only the
+    # lower one's counts: its keys carry label 1 for the higher class.
+    two_class = present.size == 2 and n <= TABLE_ROWS
     if two_class:
-        parent_entropy = _entropy_table()[_tri(n) + parent[0]]
-    else:
-        parent_entropy = _entropies(parent[:, None], [n])[0]
+        table = _entropy_table()
+        parent0 = parent[present[0]]
+        parent_entropy = table[_tri(n) + parent0]
+        labels = labels == present[1]
     numeric = data.numeric
     # A key is a cell's rank code with its row's label in the low bits, so
     # sorting keys sorts by value and groups each value's rows by class.
@@ -253,17 +292,37 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         keys <<= bits
         keys |= labels
         keys.sort(axis=1)
-        if two_class:
-            # Class-0 rows up to and including each cell, in sort order,
-            # restarting on each attribute row.
-            prefix0 = np.cumsum((keys & 1) == 0, axis=1).ravel()
-        else:
-            sorted_labels = (keys & ((1 << bits) - 1)).ravel()
         flat = (keys >> bits).ravel()
         # No two attributes share a code, so each row starts a group.
         starts = np.empty(flat.size, dtype=bool)
         starts[0] = True
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+        all_numeric = numeric[first:first + width].all()
+        if two_class:
+            # Rows of the lower class (label 0 in the keys) up to and
+            # including each cell, in sort order, restarting on each row.
+            prefix0 = np.cumsum((keys & 1) == 0, axis=1)
+            if all_numeric and 2 * np.count_nonzero(starts) > flat.size:
+                # Most neighbours differ: every cell is scored as a cut, and
+                # the cuts inside a group are dropped.  The cut after cell j
+                # of a row leaves j + 1 rows valid; after a row's last cell,
+                # none invalid, which scores 0.0 and never wins.
+                sizes = np.arange(1, n + 1)
+                valid_at, invalid_at = _tri(sizes), _tri(n - sizes) + parent0
+                gains = table[invalid_at - prefix0]
+                gains *= (n - sizes) / n
+                e_valid = table[valid_at + prefix0]
+                e_valid *= sizes / n
+                gains += e_valid
+                gains = np.where(starts[1:], parent_entropy - gains.ravel()[:-1], -np.inf)
+                pick = int(np.argmax(gains))
+                if gains[pick] > best_gain:
+                    best_gain = float(gains[pick])
+                    best = _threshold(data, first + pick // n, flat[pick], flat[pick + 1])
+                continue
+            prefix0 = prefix0.ravel()
+        else:
+            sorted_labels = (keys & ((1 << bits) - 1)).ravel()
         group_start = np.flatnonzero(starts)
         group_end = np.empty_like(group_start)
         group_end[:-1] = group_start[1:]
@@ -276,16 +335,16 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         # ``value == code`` is the group.
         n_valid = group_end - row_start
         categorical = None
-        if not numeric[first:first + width].all():
+        if not all_numeric:
             categorical = ~numeric[first + attr]
             n_valid = np.where(categorical, group_end - group_start, n_valid)
         if two_class:
             valid0 = prefix0[group_end - 1]
             if categorical is not None:
-                # The class-0 count before a group; none before a row's start.
+                # The lower class's count before a group; none before a row's start.
                 before = np.where(group_start == row_start, 0, prefix0[group_start - 1])
                 valid0 = np.where(categorical, valid0 - before, valid0)
-            gains = _table_gains(parent_entropy, n, parent[0], valid0, n_valid)
+            gains = _table_gains(parent_entropy, n, parent0, valid0, n_valid)
         else:
             groups = group_start.size
             group = np.cumsum(starts) - 1
@@ -293,13 +352,13 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
             # A block has no more groups than the table has levels, so this
             # index fits the codes' dtype, as the keys do.
             counts = np.bincount(sorted_labels * groups + group,
-                                 minlength=class_count * groups).reshape(class_count, groups)
+                                 minlength=parent.size * groups).reshape(parent.size, groups)
             # Each attribute's groups hold all n rows, so the running total
             # restarts by subtracting attr * parent.
             valid = np.cumsum(counts, axis=1) - parent[:, None] * attr
             if categorical is not None:
                 valid = np.where(categorical, counts, valid)
-            gains = _gains(parent_entropy, parent, valid, n_valid)
+            gains = _gains(parent, valid, n_valid)
         # The last numeric group and a lone categorical group leave the
         # invalid side empty and are not candidates.
         gains[n_valid == n] = -np.inf
@@ -310,16 +369,21 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         if gains[pick] > best_gain:
             best_gain = float(gains[pick])
             attribute = first + int(attr[pick])
-            low = float(data.levels[flat[group_start[pick]]])
             if not numeric[attribute]:
-                best = Condition(attribute=attribute, op="eq", value=low)
+                value = float(data.levels[flat[group_start[pick]]])
+                best = Condition(attribute=attribute, op="eq", value=value)
             else:
-                high = float(data.levels[flat[group_end[pick]]])
-                threshold = (low + high) / 2.0
-                # The midpoint of two adjacent doubles can round up onto the
-                # high value, which would move the high group to the valid
-                # side; pin it back.
-                if not threshold < high:
-                    threshold = low
-                best = Condition(attribute=attribute, op="le", value=threshold)
+                best = _threshold(data, attribute, flat[group_start[pick]],
+                                  flat[group_end[pick]])
     return best
+
+
+def _threshold(data: Dataset, attribute: int, low: int, high: int) -> Condition:
+    """``value <= threshold`` between the levels of two adjacent codes."""
+    low, high = float(data.levels[low]), float(data.levels[high])
+    threshold = (low + high) / 2.0
+    # The midpoint of two adjacent doubles can round up onto the high value,
+    # which would move the high group to the valid side; pin it back.
+    if not threshold < high:
+        threshold = low
+    return Condition(attribute=attribute, op="le", value=threshold)

@@ -562,6 +562,26 @@ class TestRankCodes:
             first += used.size
         assert first == data.levels.size
 
+    @given(table=awkward_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_offsets_bound_each_columns_levels(self, table):
+        values, data = table
+        offsets = data.offsets
+        assert len(offsets) == data.n_attributes + 1 and all(type(at) is int for at in offsets)
+        assert offsets[0] == 0 and offsets[-1] == data.levels.size
+        for j in range(data.n_attributes):
+            assert data.codes[j].min() >= offsets[j] and data.codes[j].max() < offsets[j + 1]
+            assert np.array_equal(data.levels[offsets[j]:offsets[j + 1]], np.unique(values[:, j]))
+
+    def test_equality_is_identity(self):
+        # Two tables built from one seed hold equal arrays but are two
+        # datasets; == neither compares arrays nor raises, and hash works.
+        first, second = (random_dataset(np.random.default_rng(3), 30, 2, 1, 3) for _ in range(2))
+        assert np.array_equal(first.codes, second.codes)
+        assert np.array_equal(first.labels, second.labels)
+        assert first == first and first != second and not first == second
+        assert hash(first) == hash(first) and len({first, second, first}) == 2
+
     BENCHMARK_TABLES = ("cv.csv", "big_train.csv", "cat_train.csv")
 
     @pytest.fixture(scope="class")

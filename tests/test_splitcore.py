@@ -28,6 +28,7 @@ from treelab import (
     partition,
     splitcore,
 )
+from treelab import eager_tree
 from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum, class_histogram
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
@@ -43,7 +44,7 @@ def entropy(counts):
 def information_gain(parent, valid):
     """The gain the direct path scores for one candidate's valid side."""
     parent, valid = np.asarray(parent), np.asarray(valid)
-    gain = splitcore._gains(entropy(parent), parent, valid[:, None], valid.sum(keepdims=True))
+    gain = splitcore._gains(parent, valid[:, None], valid.sum(keepdims=True))
     return float(gain[0])
 
 
@@ -69,6 +70,25 @@ class TestEntropy:
         value = entropy(counts)
         assert -1e-12 <= value <= math.log2(len(counts)) + 1e-12
         assert value == pytest.approx(oracles.entropy_counts(counts), abs=1e-12)
+
+
+    @pytest.mark.parametrize("classes", [2, 3, 8, 40, 150])
+    def test_zero_counts_give_positive_zero_terms(self, classes):
+        # The entropies equal those of an explicit mask that sets each zero
+        # count's term to +0.0, bit for bit: empty columns, one-class
+        # columns and columns with zeros among other counts.
+        rng = np.random.default_rng(classes)
+        counts = rng.integers(0, 5, size=(classes, 3000)) * (rng.random((classes, 3000)) < 0.6)
+        counts[:, :4] = 0
+        counts[0, 4] = 7
+        totals = counts.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = counts / totals.astype(np.float64)
+            terms = np.log2(p) * p
+        terms[counts == 0] = 0.0
+        want = -_class_sum(terms)
+        got = splitcore._entropies(counts, totals)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 class TestClassSum:
@@ -160,6 +180,29 @@ class TestPartition:
             invalid, valid = partition(cond, data, rows)
             want_invalid, want_valid = oracles.split_rows(values, rows, cond)
             assert invalid.tolist() == want_invalid and valid.tolist() == want_valid
+
+
+    @given(table=awkward_tables(), picks=st.lists(st.integers(0, 29), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_on_and_between_levels(self, table, picks):
+        # Each value of a column, its neighbouring doubles, the midpoints of
+        # its levels and values outside them, as either test: partition
+        # turns each into one code bound and splits as the values would.
+        values, data = table
+        rows = np.array(picks) % data.n_rows
+        for attribute in range(data.n_attributes):
+            column = np.unique(values[:, attribute])
+            with np.errstate(over="ignore"):  # +-1e308: inf, dropped below
+                tests = np.concatenate([
+                    column, np.nextafter(column, np.inf), np.nextafter(column, -np.inf),
+                    (column[1:] + column[:-1]) / 2,
+                    [column[0] - 1.0, column[-1] + 1.0, 0.0, -0.0]])
+            for value in tests[np.isfinite(tests)].tolist():
+                for op in ("le", "eq"):
+                    cond = Condition(attribute=attribute, op=op, value=value)
+                    invalid, valid = partition(cond, data, rows)
+                    want_invalid, want_valid = oracles.split_rows(values, rows, cond)
+                    assert invalid.tolist() == want_invalid and valid.tolist() == want_valid
 
 
 class TestBestCondition:
@@ -333,23 +376,34 @@ class TestBestCondition:
         want = oracles.per_attribute_best_condition(data, rows)
         assert repr(best_condition(data, rows)) == repr(want)
 
-    def test_search_scratch_is_bounded_by_the_block(self):
-        # A root search of a wide two-class table holds one block's keys
-        # and per-group arrays at a time (~15 times the bound's base), never
-        # a copy of the node's n x m values (4 MiB here, 31 times the base).
+    @staticmethod
+    def _root_search_peak(classes):
+        """tracemalloc peak of a 512-row root search whose rows hold two classes."""
         rng = np.random.default_rng(7)
         n, m = 512, 1024
         labels = rng.integers(0, 2, size=n)
-        data = dataset_from_arrays(rng.normal(size=(n, m)) + 0.1 * labels[:, None], labels)
+        data = dataset_from_arrays(rng.normal(size=(n, m)) + 0.1 * labels[:, None], labels,
+                                   class_names=tuple(f"k{i}" for i in range(classes)))
         rows = np.arange(n)
         best_condition(data, rows)  # builds the two-class entropy table untraced
         tracemalloc.start()
         try:
             best_condition(data, rows)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], n
         finally:
             tracemalloc.stop()
-        assert peak < 20 * (BLOCK_CELLS + n) * 8
+
+    def test_search_scratch_is_bounded_by_the_block(self):
+        # A root search of a wide two-class table holds one block's keys and
+        # per-cut arrays at a time (~6 times the bound's base), never a copy
+        # of the node's n x m values (4 MiB here, 31 times the base).
+        peak, n = self._root_search_peak(2)
+        assert peak < 10 * (BLOCK_CELLS + n) * 8
+
+    def test_search_scratch_is_bounded_for_two_of_three_classes(self):
+        # The same rows in a 3-class table take the same path and scratch.
+        peak, n = self._root_search_peak(3)
+        assert peak < 10 * (BLOCK_CELLS + n) * 8
 
 
 class TestEntropyTable:
@@ -367,6 +421,17 @@ class TestEntropyTable:
         assert (table.view(np.int64) == want.view(np.int64)).all()
         assert table[0].tobytes() == np.float64(-0.0).tobytes()
 
+    def test_cells_are_symmetric(self):
+        # Swapping a side's two classes swaps its two entropy terms, which
+        # add to the same double: reading a cell at the higher class's count
+        # gives the same bits as at the lower's.
+        table = splitcore._entropy_table()
+        sizes = np.arange(TABLE_ROWS + 1)
+        totals = np.repeat(sizes, sizes + 1)
+        low = np.arange(table.size) - splitcore._tri(totals)
+        mirror = table[splitcore._tri(totals) + totals - low]
+        assert (table.view(np.int64) == mirror.view(np.int64)).all()
+
     def test_parent_cells_match_one_column_entropies(self):
         # A two-class search reads its node's entropy from the table, built
         # from wide _entropies calls; the direct path computes it as one
@@ -383,22 +448,59 @@ class TestEntropyTable:
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
     @staticmethod
-    def _searches(classes):
-        rng = np.random.default_rng(100 + classes)
-        for n in (2, 30, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 700):
-            for trial in range(4):
-                if trial == 0:
-                    data = gaussian_dataset(rng, 800, 6, classes, spread=0.3)
-                else:
-                    data = random_dataset(
-                        rng, 800, int(rng.integers(1, 8)), int(rng.integers(0, 4)),
-                        classes, value_grid=int(rng.integers(2, 60)),
-                    )
-                yield data, rng.integers(0, 800, size=n)
+    def _pairs(classes):
+        """Class pairs at both ends, in the middle and across _class_sum's halves."""
+        middle = classes // 2
+        pairs = {(0, 1), (classes - 2, classes - 1), (0, classes - 1), (middle - 1, middle)}
+        if classes > 128:
+            half = middle - middle % 8
+            pairs |= {(half - 1, half), (0, half), (half, classes - 1)}
+        return sorted(pairs)
 
-    @pytest.mark.parametrize("classes", [2, 3, 8, 40])
+    @classmethod
+    def _searches(cls, classes):
+        rng = np.random.default_rng(100 + classes)
+        if classes <= 40:
+            for n in (2, 30, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 700):
+                for trial in range(4):
+                    if trial == 0:
+                        data = gaussian_dataset(rng, 800, 6, classes, spread=0.3)
+                    else:
+                        data = random_dataset(
+                            rng, 800, int(rng.integers(1, 8)), int(rng.integers(0, 4)),
+                            classes, value_grid=int(rng.integers(2, 60)),
+                        )
+                    yield data, rng.integers(0, 800, size=n)
+        if classes == 2:
+            return
+        # Nodes that hold exactly two of the table's classes.
+        names = tuple(f"k{i}" for i in range(classes))
+        for pair in cls._pairs(classes):
+            labels = np.concatenate([rng.choice(pair, size=600),
+                                     rng.integers(0, classes, size=200)])
+            tables = [
+                dataset_from_arrays(rng.normal(size=(800, 5)) + 0.3 * (labels == pair[1])[:, None],
+                                    labels, class_names=names),
+                dataset_from_arrays(
+                    np.column_stack([(labels == pair[1]) + rng.integers(0, 4, size=800),
+                                     rng.integers(0, 30, size=800),
+                                     np.where(rng.random(800) < 0.3, labels % 5,
+                                              rng.integers(0, 5, size=800))]),
+                    labels, kinds="nnc", class_names=names),
+            ]
+            # one row of each class of the pair first, so that n >= 2 holds both
+            firsts = [int(np.argmax(labels == c)) for c in pair]
+            for data in tables:
+                for n in (1, 2, 3, 9, 64, 200, TABLE_ROWS):
+                    rows = np.concatenate([firsts, rng.integers(0, 600, size=max(n - 2, 0))])
+                    yield data, rows[:n]
+
+    @pytest.mark.parametrize("classes", [2, 3, 8, 40, 129, 150, 200])
     def test_table_and_direct_paths_agree(self, classes, monkeypatch):
         searches = list(self._searches(classes))
+        two = sum(np.count_nonzero(class_histogram(data, rows)) == 2 and rows.size <= TABLE_ROWS
+                  for data, rows in searches)
+        assert two >= 10
 
         def run():
             return [repr(best_condition(data, rows)) for data, rows in searches]
@@ -406,6 +508,25 @@ class TestEntropyTable:
         table = run()
         monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
         assert run() == table
+
+    @pytest.mark.parametrize("classes", [3, 8, 40, 129, 150, 200])
+    def test_cells_match_wide_columns_with_two_classes(self, classes):
+        # A node holding two of many classes reads the table at its lower
+        # class's count; the direct path sums a wide column whose other
+        # rows are zero.  int64 views: the bits must match.
+        table = splitcore._entropy_table()
+        rng = np.random.default_rng(classes)
+        edge = np.array([1, 2, 3, TABLE_ROWS])
+        sizes = np.concatenate([np.repeat(edge, 4), rng.integers(1, TABLE_ROWS + 1, size=3000)])
+        low = rng.integers(0, sizes + 1)
+        # counts 0, 1, N - 1 and N of the lower class at the edge sizes
+        low[:16] = np.stack([0 * edge, 0 * edge + 1, edge - 1, edge], axis=1).ravel()
+        got = table[splitcore._tri(sizes) + low]
+        for first, second in self._pairs(classes):
+            counts = np.zeros((classes, sizes.size), dtype=np.int64)
+            counts[first], counts[second] = low, sizes - low
+            want = splitcore._entropies(counts, sizes)
+            assert (got.view(np.int64) == want.view(np.int64)).all(), (first, second)
 
     @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
     def test_fits_agree_with_direct_path(self, fit, monkeypatch):
@@ -425,6 +546,34 @@ class TestEntropyTable:
             return out
 
         table = run()
+        monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
+        assert run() == table
+
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_three_class_fits_agree_with_direct_path(self, fit, monkeypatch):
+        # Most nodes below the roots hold two of the three classes.
+        rng = np.random.default_rng(333)
+        tables = [gaussian_dataset(rng, 600, 6, 3, spread=0.6),
+                  random_dataset(rng, 300, 3, 3, 3, value_grid=12)]
+        params = SplitParams(min_count=2, max_depth=12)
+        searches = []
+
+        def spy(data, rows, hist=None):
+            searches.append(np.count_nonzero(hist) == 2 and len(rows) <= splitcore.TABLE_ROWS)
+            return best_condition(data, rows, hist)
+
+        def run():
+            out = []
+            for data in tables:
+                test = np.arange(0, data.n_rows, data.n_rows // 10)
+                matrix, metrics = fit(data, np.arange(data.n_rows), test, 2, params, 13)
+                out.append((matrix.tobytes(), metrics.nodes_explored,
+                            metrics.peak_stack_words, metrics.model_words))
+            return out
+
+        monkeypatch.setattr(eager_tree, "best_condition", spy)
+        table = run()
+        assert sum(searches) >= 10
         monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
         assert run() == table
 
@@ -481,6 +630,33 @@ class TestTwoClassSearch:
             assert got == repr(best_condition(data, rows)), f"trial {trial}"
             want = oracles.per_attribute_best_condition(data, rows)
             assert got == repr(want), f"trial {trial}"
+
+
+class TestSearchesFromWalks:
+    """The nested row subsets of real walks, each search checked against the oracle."""
+
+    @pytest.mark.parametrize("classes", [2, 3, 8])
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_every_search_matches_per_attribute_search(self, fit, classes, monkeypatch):
+        rng = np.random.default_rng(40 + classes)
+        tables = [gaussian_dataset(rng, 150, 4, classes, spread=0.8),
+                  random_dataset(rng, 150, 3, 2, classes, value_grid=6)]
+        searches = []
+
+        def spy(data, rows, hist=None):
+            got = best_condition(data, rows, hist)
+            searches.append((data, np.array(rows), got))
+            return got
+
+        monkeypatch.setattr(eager_tree, "best_condition", spy)
+        params = SplitParams(min_count=2, max_depth=8)
+        for data in tables:
+            fit(data, np.arange(data.n_rows), np.arange(0, data.n_rows, 25), 2, params, 17)
+        two = sum(np.count_nonzero(class_histogram(data, rows)) == 2 for data, rows, _ in searches)
+        assert len(searches) >= 20 and two >= 5
+        for data, rows, got in searches:
+            want = oracles.per_attribute_best_condition(data, rows)
+            assert repr(got) == repr(want), rows.size
 
 
 class TestSplitParams:
