@@ -44,18 +44,16 @@ the two non-zero terms; they are the same elementwise doubles (``p`` and its
 non-zero row, or none, sums to ``+0.0`` either way.  Both paths then share
 the gain formula.
 
-In an all-numeric block where most neighbouring cells differ, such a node
-scores one candidate per cut between unequal neighbours: the cut after cell
-``j`` of a row leaves ``j + 1`` rows valid, so the side sizes, their table
-offsets and weights are vectors indexed by ``j``.  The cut after a row's
-last cell leaves no row invalid and scores ``0.0``, which never wins.  Where
-most cells sit inside a group, scoring every cell costs more than grouping
-them, so other blocks score one candidate per group: a numeric group's
-valid side reads the running count at the group's last cell, and a
-categorical group subtracts the count just before its start, none at the
-start of a row.  Larger nodes and nodes of one or of three or more classes
-take the direct path, whose one entropy pass per block covers both sides of
-every candidate and the node itself.
+In an all-numeric block, such a node scores one candidate per cut between
+unequal neighbours: the cut after cell ``j`` of a row leaves ``j + 1`` rows
+valid, so the side sizes and their table offsets are vectors indexed by
+``j``.  The cut after a row's last cell leaves no row invalid and scores
+``0.0``, which never wins.  A block with a categorical attribute scores one
+candidate per group instead: a numeric group's valid side reads the running
+count at the group's last cell, and a categorical group subtracts the count
+just before its start, none at the start of a row.  Larger nodes and nodes
+of one or of three or more classes take the direct path, whose one entropy
+pass per block covers both sides of every candidate and the node itself.
 """
 
 from __future__ import annotations
@@ -198,9 +196,12 @@ def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
     """
     table = _entropy_table()
     n_invalid = n - n_valid
-    e_invalid = table[_tri(n_invalid) + (parent0 - valid0)]
+    gains = table[_tri(n_invalid) + parent0 - valid0]
+    gains *= n_invalid / n
     e_valid = table[_tri(n_valid) + valid0]
-    return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
+    e_valid *= n_valid / n
+    gains += e_valid
+    return np.subtract(parent_entropy, gains, out=gains)
 
 
 def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
@@ -272,9 +273,8 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     # lower one's counts: its keys carry label 1 for the higher class.
     two_class = present.size == 2 and n <= TABLE_ROWS
     if two_class:
-        table = _entropy_table()
         parent0 = parent[present[0]]
-        parent_entropy = table[_tri(n) + parent0]
+        parent_entropy = _entropy_table()[_tri(n) + parent0]
         labels = labels == present[1]
     numeric = data.numeric
     # A key is a cell's rank code with its row's label in the low bits, so
@@ -302,19 +302,14 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
             # Rows of the lower class (label 0 in the keys) up to and
             # including each cell, in sort order, restarting on each row.
             prefix0 = np.cumsum((keys & 1) == 0, axis=1)
-            if all_numeric and 2 * np.count_nonzero(starts) > flat.size:
-                # Most neighbours differ: every cell is scored as a cut, and
-                # the cuts inside a group are dropped.  The cut after cell j
-                # of a row leaves j + 1 rows valid; after a row's last cell,
-                # none invalid, which scores 0.0 and never wins.
-                sizes = np.arange(1, n + 1)
-                valid_at, invalid_at = _tri(sizes), _tri(n - sizes) + parent0
-                gains = table[invalid_at - prefix0]
-                gains *= (n - sizes) / n
-                e_valid = table[valid_at + prefix0]
-                e_valid *= sizes / n
-                gains += e_valid
-                gains = np.where(starts[1:], parent_entropy - gains.ravel()[:-1], -np.inf)
+            if all_numeric:
+                # Every cell is scored as a cut, and the cuts inside a group
+                # are dropped.  The cut after cell j of a row leaves j + 1
+                # rows valid; after a row's last cell, none invalid, which
+                # scores 0.0 and never wins.
+                gains = _table_gains(parent_entropy, n, parent0, prefix0,
+                                     np.arange(1, n + 1))
+                gains = np.where(starts[1:], gains.ravel()[:-1], -np.inf)
                 pick = int(np.argmax(gains))
                 if gains[pick] > best_gain:
                     best_gain = float(gains[pick])

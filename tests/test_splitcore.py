@@ -481,6 +481,11 @@ class TestEntropyTable:
             tables = [
                 dataset_from_arrays(rng.normal(size=(800, 5)) + 0.3 * (labels == pair[1])[:, None],
                                     labels, class_names=names),
+                # all numeric, most cells inside a run of equal values
+                dataset_from_arrays(
+                    np.column_stack([(labels == pair[1]) + rng.integers(0, 3, size=800),
+                                     rng.integers(0, 12, size=800)]),
+                    labels, kinds="nn", class_names=names),
                 dataset_from_arrays(
                     np.column_stack([(labels == pair[1]) + rng.integers(0, 4, size=800),
                                      rng.integers(0, 30, size=800),
