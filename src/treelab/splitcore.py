@@ -52,8 +52,49 @@ valid, so the side sizes and their table offsets are vectors indexed by
 candidate per group instead: a numeric group's valid side reads the running
 count at the group's last cell, and a categorical group subtracts the count
 just before its start, none at the start of a row.  Larger nodes and nodes
-of one or of three or more classes take the direct path, whose one entropy
-pass per block covers both sides of every candidate and the node itself.
+of three or more classes take the direct path, whose one entropy pass per
+block covers both sides of every candidate and the node itself.  A node of
+one class returns ``None`` at once: every side holds that class alone, so
+each gain is ``0.0``, which is not positive.
+
+A node of more than ``TABLE_ROWS`` rows prunes its all-numeric blocks
+(:func:`_pruned_cuts`).  Each attribute row's sorted cells are cut into
+chunks of ``CHUNK_CELLS``; one ``bincount`` counts the classes per chunk, a
+running sum over the chunks gives the valid side at every chunk's end, and
+one entropy pass covers both sides of every chunk end.  Write ``f(x) =
+|x| H(x)`` for a class-count vector ``x`` (``f(0) = 0``), so that a cut whose
+valid side is ``v`` has gain ``H(p) - (f(v) + f(p - v)) / n``.  ``f`` is the
+perspective of the concave entropy, hence concave, and 1-homogeneous, so
+``f(a + b) = 2 f((a + b) / 2) >= f(a) + f(b)``, and ``f >= 0``.  Valid sides
+only grow along a row: a cut inside a chunk has ``v_start <= v <= v_end``
+per class, where ``v_start`` is the valid side at the end of the chunk
+before (none at a row's start) and ``v_end`` the one at the chunk's end.  So
+``f(v) >= f(v_start) + f(v - v_start) >= f(v_start)`` and likewise ``f(p -
+v) >= f(p - v_end)``: no cut of the chunk gains more than its bound ``H(p)
+- (f(v_start) + f(p - v_end)) / n``.  Both terms are a side size times an
+entropy that the chunk-end pass has computed, so the bound costs nothing
+more.  A chunk's cuts are scored by :func:`_gains`, as before, only when its
+bound reaches ``floor - PRUNE_MARGIN``, where ``floor`` is the larger of the
+earlier blocks' best gain and the best gain of this block's chunk ends that
+are real cuts (between unequal neighbours, not at a row's end).  Each
+scored gain is the same double as when every group is scored: the valid
+side's counts are the same integers, and entropies reduce each column on
+its own.
+
+The margin covers rounding.  Gains and bounds are at most ``log2(classes)``
+bits, and rounding (in the entropy's terms and class sum, the weights and
+one subtraction) moves each by a few hundred ulps of that at most: ~1e-14
+for a few classes, ~1e-11 even for 10 000 classes, against a margin of
+1e-9.  So every cut of a dropped chunk scores below
+``floor``: it cannot beat the earlier blocks, which a block must do
+strictly; and when ``floor`` is a chunk end's gain, that end is a cut of a
+kept chunk (its own bound is at least its gain), so the kept maximum is at
+least ``floor`` less rounding, and a dropped cut neither exceeds nor ties
+it.  The kept cuts run in (attribute, value) order, so their first maximum
+is the block's first maximum, and the tie-break is unchanged.  Nodes of up
+to ``TABLE_ROWS`` rows are not pruned: a chunk's slack is about
+``CHUNK_CELLS * log2(n) / n`` bits, so such searches kept 5-67% of their
+cuts, and the chunk pass cost more than the pruning saved.
 """
 
 from __future__ import annotations
@@ -77,6 +118,16 @@ BLOCK_CELLS = 16384
 TABLE_ROWS = 512
 # Side sizes per step of the table build; bounds its temporaries.
 _TABLE_CHUNK = 32
+
+# Consecutive sorted cells of an attribute row counted and bounded together
+# in an all-numeric block of a node of more than TABLE_ROWS rows; only the
+# cuts of the chunks whose bound reaches the best gain are scored.  16 timed
+# no better on the workloads' large nodes, and a larger chunk has a looser
+# bound.
+CHUNK_CELLS = 8
+# Slack below the best gain under which a chunk is dropped: far above the
+# rounding of gains and bounds (module docstring).
+PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,27 +255,110 @@ def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
     return np.subtract(parent_entropy, gains, out=gains)
 
 
-def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
-    """Information gain of each column of a ``(classes, k)`` valid-side matrix.
+def _side_entropies(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray):
+    """Entropies of each candidate's invalid and valid sides, and of the node.
 
-    ``parent`` is the class histogram of all rows and ``n_valid`` the column
-    sums of ``valid``; the invalid side is the rest of the parent.  This is
-    the direct path: :func:`best_condition` scores nodes of at most
-    ``TABLE_ROWS`` rows that hold two classes with :func:`_table_gains`
-    instead.
+    ``parent`` is the class histogram of all rows, ``valid`` a ``(classes,
+    k)`` valid-side matrix and ``n_valid`` its column sums; the invalid side
+    is the rest of the parent.  Both sides and the parent take one entropy
+    pass: invalid columns, valid columns, then the parent's; columns are
+    reduced independently.
     """
     n = parent.sum()
-    n_invalid = n - n_valid
-    # Both sides and the parent in one entropy pass: invalid columns, valid
-    # columns, then the parent's; columns are reduced independently.
     k = n_valid.size
     sides = np.empty((parent.size, 2 * k + 1))
     np.subtract(parent[:, None], valid, out=sides[:, :k])
     sides[:, k:-1] = valid
     sides[:, -1] = parent
-    entropies = _entropies(sides, np.concatenate([n_invalid, n_valid, [n]]))
-    e_invalid, e_valid, parent_entropy = entropies[:k], entropies[k:-1], entropies[-1]
-    return parent_entropy - ((n_invalid / n) * e_invalid + (n_valid / n) * e_valid)
+    entropies = _entropies(sides, np.concatenate([n - n_valid, n_valid, [n]]))
+    return entropies[:k], entropies[k:-1], entropies[-1]
+
+
+def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
+    """Information gain of each column of a ``(classes, k)`` valid-side matrix.
+
+    ``parent`` is the class histogram of all rows and ``n_valid`` the column
+    sums of ``valid``; the invalid side is the rest of the parent.  This is
+    the direct path.  :func:`best_condition` scores with it every group of
+    a block with a categorical attribute, and every group of an all-numeric
+    block when the node holds three or more classes and at most
+    ``TABLE_ROWS`` rows; in an all-numeric block of a node of more rows, it
+    scores only the cuts that :func:`_pruned_cuts` keeps.  Nodes of at most
+    ``TABLE_ROWS`` rows that hold two classes take :func:`_table_gains`
+    instead.
+    """
+    n = parent.sum()
+    e_invalid, e_valid, parent_entropy = _side_entropies(parent, valid, n_valid)
+    return parent_entropy - (((n - n_valid) / n) * e_invalid + (n_valid / n) * e_valid)
+
+
+def _chunk_bounds(parent: np.ndarray, ends: np.ndarray,
+                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each chunk's bound and the gain of the cut at its end.
+
+    ``ends`` is a ``(classes, rows, chunks + 1)`` array of valid sides: in
+    each row, column ``c + 1`` at the end of chunk ``c`` and column 0 empty;
+    ``sizes`` holds their sizes, one per column.  Returns two ``(rows,
+    chunks)`` arrays: ``H(p) - (f(start) + f(p - end)) / n``, which no cut
+    inside the chunk exceeds (module docstring), and ``H(p) - (f(end) + f(p
+    - end)) / n``, where ``f(x) = |x| H(x)``.
+    """
+    classes, rows, columns = ends.shape
+    n = parent.sum()
+    sizes = np.tile(sizes, rows)
+    e_invalid, e_valid, parent_entropy = _side_entropies(
+        parent, ends.reshape(classes, -1), sizes)
+    f_invalid = ((n - sizes) * e_invalid).reshape(rows, columns)[:, 1:]
+    f_valid = (sizes * e_valid).reshape(rows, columns)
+    bounds = parent_entropy - (f_valid[:, :-1] + f_invalid) / n
+    reached = parent_entropy - (f_valid[:, 1:] + f_invalid) / n
+    return bounds, reached
+
+
+def _pruned_cuts(parent: np.ndarray, keys: np.ndarray, bits: int, starts: np.ndarray,
+                 best_gain: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of the cuts of an all-numeric block that can reach the best gain.
+
+    ``keys`` is the block's ``(rows, n)`` array of sorted keys, labels in
+    their low ``bits``, and ``starts`` marks each cell that starts a group;
+    ``best_gain`` is the best gain of the earlier blocks.  Each row's cells
+    are counted per chunk of ``CHUNK_CELLS``, and a chunk's cuts are scored
+    only when its bound reaches the best gain known, less ``PRUNE_MARGIN``
+    (module docstring).  Returns the gains of the kept chunks' cuts between
+    unequal neighbours, in (attribute, value) order, and the cell after
+    which each cuts.
+    """
+    classes = parent.size
+    rows, n = keys.shape
+    # Class counts per chunk, class-major, each row's chunks after one empty
+    # column; their running sum is the valid side at each chunk's end.
+    chunks = -(-n // CHUNK_CELLS)
+    k = rows * (chunks + 1)
+    index = np.bitwise_and(keys, (1 << bits) - 1, dtype=np.int64)
+    index *= k
+    index += np.repeat(np.arange(1, chunks + 1), CHUNK_CELLS)[:n]
+    index += np.arange(0, k, chunks + 1)[:, None]
+    ends = np.bincount(index.ravel(), minlength=classes * k).reshape(classes, rows, chunks + 1)
+    del index
+    np.cumsum(ends, axis=2, out=ends)
+    bounds, reached = _chunk_bounds(
+        parent, ends, np.minimum(np.arange(chunks + 1) * CHUNK_CELLS, n))
+    # A chunk's end is a real cut unless it ends its row or falls inside a
+    # group; the block reaches the best of their gains.
+    real = starts.reshape(rows, n)[:, CHUNK_CELLS::CHUNK_CELLS]
+    floor = max(best_gain, reached[:, :-1][real].max(initial=-np.inf))
+    keep = np.flatnonzero(bounds >= floor - PRUNE_MARGIN)
+
+    # The kept chunks' cells; cells past a row's end repeat its last cell
+    # and are not cuts.
+    row, chunk = np.divmod(keep, chunks)
+    position = chunk[:, None] * CHUNK_CELLS + np.arange(CHUNK_CELLS)
+    cells = row[:, None] * n + np.minimum(position, n - 1)
+    labels = keys.ravel()[cells] & ((1 << bits) - 1)
+    valid = np.cumsum(labels == np.arange(classes)[:, None, None], axis=2)
+    valid += ends.reshape(classes, k)[:, keep + row, None]
+    cut = (position < n - 1) & starts.take(cells + 1, mode="clip")
+    return _gains(parent, valid[:, cut], position[cut] + 1), cells[cut]
 
 
 def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:
@@ -269,6 +403,10 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     labels = data.labels[rows]
     parent = np.bincount(labels, minlength=data.class_count) if hist is None else hist
     present = parent.nonzero()[0]
+    if present.size < 2:
+        # Every side of a one-class node holds that class alone: each
+        # candidate's gain is 0.0, which is not positive.
+        return None
     # A node of up to TABLE_ROWS rows that holds two classes needs only the
     # lower one's counts: its keys carry label 1 for the higher class.
     two_class = present.size == 2 and n <= TABLE_ROWS
@@ -298,24 +436,32 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         starts[0] = True
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
         all_numeric = numeric[first:first + width].all()
-        if two_class:
-            # Rows of the lower class (label 0 in the keys) up to and
-            # including each cell, in sort order, restarting on each row.
-            prefix0 = np.cumsum((keys & 1) == 0, axis=1)
-            if all_numeric:
+        if all_numeric and (two_class or n > TABLE_ROWS):
+            if two_class:
                 # Every cell is scored as a cut, and the cuts inside a group
                 # are dropped.  The cut after cell j of a row leaves j + 1
-                # rows valid; after a row's last cell, none invalid, which
-                # scores 0.0 and never wins.
+                # rows valid, prefix0 of them of the lower class; after a
+                # row's last cell, none invalid, which scores 0.0 and never
+                # wins.
+                prefix0 = np.cumsum((keys & 1) == 0, axis=1)
                 gains = _table_gains(parent_entropy, n, parent0, prefix0,
                                      np.arange(1, n + 1))
                 gains = np.where(starts[1:], gains.ravel()[:-1], -np.inf)
-                pick = int(np.argmax(gains))
-                if gains[pick] > best_gain:
-                    best_gain = float(gains[pick])
-                    best = _threshold(data, first + pick // n, flat[pick], flat[pick + 1])
-                continue
-            prefix0 = prefix0.ravel()
+                cells = None
+            else:
+                gains, cells = _pruned_cuts(parent, keys, bits, starts, best_gain)
+                if gains.size == 0:
+                    continue
+            pick = int(np.argmax(gains))
+            if gains[pick] > best_gain:
+                best_gain = float(gains[pick])
+                cell = pick if cells is None else int(cells[pick])
+                best = _threshold(data, first + cell // n, flat[cell], flat[cell + 1])
+            continue
+        if two_class:
+            # Rows of the lower class (label 0 in the keys) up to and
+            # including each cell, in sort order, restarting on each row.
+            prefix0 = np.cumsum((keys & 1) == 0, axis=1).ravel()
         else:
             sorted_labels = (keys & ((1 << bits) - 1)).ravel()
         group_start = np.flatnonzero(starts)

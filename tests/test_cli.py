@@ -437,13 +437,15 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["predict", "trace"])
     def test_exit_15_without_traceback(self, tmp_path, command):
         # 8 000 rows of 4 000 classes: the root search asks for ~300 MiB arrays,
-        # more than a child capped at 1 GiB of address space can map.
+        # more than a child capped at 1 GiB of address space can map.  The
+        # categorical column keeps the root's block on the per-group path;
+        # an all-numeric root of this size is pruned and fits.
         rng = np.random.default_rng(0)
         train = tmp_path / "many.csv"
         train.write_text("a,b,label\n" + "".join(
-            f"{a:.6f},{b:.6f},c{i // 2}\n" for i, (a, b) in enumerate(rng.normal(size=(8000, 2)))))
+            f"{a:.6f},v{i % 7},c{i // 2}\n" for i, a in enumerate(rng.normal(size=8000))))
         test = tmp_path / "test.csv"
-        test.write_text("a,b\n0.1,0.2\n")
+        test.write_text("a,b\n0.1,v0\n")
         out = tmp_path / "out.csv"
         out.write_text("previous\n")
 

@@ -377,11 +377,10 @@ class TestBestCondition:
         assert repr(best_condition(data, rows)) == repr(want)
 
     @staticmethod
-    def _root_search_peak(classes):
-        """tracemalloc peak of a 512-row root search whose rows hold two classes."""
+    def _root_search_peak(classes, held=2, n=512, m=1024):
+        """tracemalloc peak of a root search of n x m numeric cells holding ``held`` classes."""
         rng = np.random.default_rng(7)
-        n, m = 512, 1024
-        labels = rng.integers(0, 2, size=n)
+        labels = rng.integers(0, held, size=n)
         data = dataset_from_arrays(rng.normal(size=(n, m)) + 0.1 * labels[:, None], labels,
                                    class_names=tuple(f"k{i}" for i in range(classes)))
         rows = np.arange(n)
@@ -404,6 +403,16 @@ class TestBestCondition:
         # The same rows in a 3-class table take the same path and scratch.
         peak, n = self._root_search_peak(3)
         assert peak < 10 * (BLOCK_CELLS + n) * 8
+
+    @pytest.mark.parametrize("classes, n, m", [(3, 2048, 256), (8, 4096, 64)])
+    def test_pruned_search_scratch_is_bounded(self, classes, n, m):
+        # A root of more than TABLE_ROWS rows holding every class: a block's
+        # keys and per-cell index, then per-chunk arrays (an eighth of the
+        # cells, times the classes) and the few kept cuts.  It reads 15.2
+        # and 23.7 times the base here; scoring every group held 33.5 and
+        # 65.4 times.
+        peak, n = self._root_search_peak(classes, classes, n, m)
+        assert peak < (12 + 2 * classes) * (BLOCK_CELLS + n) * 8
 
 
 class TestEntropyTable:
@@ -637,15 +646,134 @@ class TestTwoClassSearch:
             assert got == repr(want), f"trial {trial}"
 
 
+@st.composite
+def large_numeric_tables(draw):
+    """An all-numeric table of more than TABLE_ROWS rows and the rows to search.
+
+    The rows hold 1, 3 or 8 classes.  Columns are noisy, hold 2-5 distinct
+    values, are constant, copy an earlier column, or follow the row order.
+    Mirrored tables read the same labels from both ends of the row order, so
+    an order column's cuts after j and after n - 2 - j tie exactly, in
+    different chunks.
+    """
+    classes = draw(st.sampled_from([1, 3, 8]))
+    n = draw(st.integers(TABLE_ROWS + 1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, classes, size=n)
+    mirrored = draw(st.booleans())
+    if mirrored:
+        # A long run of one class at each end makes the tied cuts win.  A
+        # run that fills whole chunks ends in a chunk whose bound equals the
+        # gain at its end.
+        run = int(rng.integers(n // 10, n // 4))
+        if draw(st.booleans()):
+            run -= run % splitcore.CHUNK_CELLS
+        labels[:run] = 0
+        labels[n - n // 2:] = labels[:n // 2][::-1]
+    kinds = draw(st.lists(st.sampled_from(["noise", "few", "constant", "copy", "order"]),
+                          min_size=1, max_size=12))
+    if mirrored:
+        kinds.insert(draw(st.integers(0, len(kinds))), "order")
+    columns = []
+    for kind in kinds:
+        if kind == "copy" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))])
+        elif kind == "few":
+            levels = int(rng.integers(2, 6))
+            columns.append((labels * int(rng.integers(0, 2)) + rng.integers(0, levels, size=n))
+                           % levels)
+        elif kind == "constant":
+            columns.append(np.full(n, 1.5))
+        elif kind == "order":
+            columns.append(np.arange(n) * float(rng.choice([1.0, -0.5])))
+        else:
+            columns.append(np.round(rng.normal(size=n) + 0.3 * labels, int(rng.integers(1, 4))))
+    data = dataset_from_arrays(np.column_stack(columns), labels,
+                               class_names=tuple(f"k{c}" for c in range(max(classes, 3))))
+    rows = np.arange(n) if mirrored or draw(st.booleans()) else rng.integers(0, n, size=n)
+    return data, rows
+
+
+class TestPrunedSearch:
+    """All-numeric blocks of nodes above TABLE_ROWS rows score only chunks that can win."""
+
+    @given(table=large_numeric_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_attribute_search(self, table):
+        data, rows = table
+        want = oracles.per_attribute_best_condition(data, rows)
+        assert repr(best_condition(data, rows)) == repr(want)
+
+    def test_mirrored_tie_breaks_to_lowest_threshold(self):
+        # Labels 0 x 200, then 1, 2 at random, then the mirror: the cuts after
+        # 200 and after n - 200 rows tie exactly, in chunks far apart, and
+        # the copies of the column in later attributes and blocks tie too.
+        rng = np.random.default_rng(31)
+        n = 3000
+        labels = np.zeros(n, dtype=np.int64)
+        labels[200:n // 2] = rng.integers(1, 3, size=n // 2 - 200)
+        labels[n // 2:] = labels[:n // 2][::-1]
+        order = np.arange(n, dtype=np.float64)
+        noise = rng.normal(size=(n, 5))
+        data = dataset_from_arrays(np.column_stack([noise, order, noise, order]), labels)
+        rows = np.arange(n)
+        width = BLOCK_CELLS // n
+        assert 5 // width != 11 // width
+        cond = best_condition(data, rows)
+        assert cond == Condition(attribute=5, op="le", value=199.5)
+        assert repr(cond) == repr(oracles.per_attribute_best_condition(data, rows))
+
+    def test_bounds_cover_every_cut_of_their_chunk(self):
+        # Random class sequences along the sorted rows of a block, skewed and
+        # with runs: no cut inside a chunk scores above the chunk's bound,
+        # and each chunk's end scores what the bound pass says it does.
+        rng = np.random.default_rng(8)
+        size = splitcore.CHUNK_CELLS
+        for trial in range(300):
+            classes = int(rng.integers(2, 10))
+            n = int(rng.integers(1, 300))
+            weights = rng.dirichlet(np.full(classes, rng.choice([0.2, 1.0, 5.0])))
+            base = rng.choice(classes, size=n, p=weights)
+            labels = np.stack([base, np.sort(base), rng.permutation(base)])
+            rows = labels.shape[0]
+            parent = np.bincount(base, minlength=classes)
+            valid = np.cumsum(labels == np.arange(classes)[:, None, None], axis=2)
+            sizes = np.minimum(np.arange(-(-n // size) + 1) * size, n)
+            ends = np.zeros((classes, rows, sizes.size), dtype=np.int64)
+            ends[:, :, 1:] = valid[:, :, sizes[1:] - 1]
+            bounds, reached = splitcore._chunk_bounds(parent, ends, sizes)
+            gains = splitcore._gains(parent, valid.reshape(classes, -1),
+                                     np.tile(np.arange(1, n + 1), rows)).reshape(rows, n)
+            padded = np.full((rows, bounds.shape[1] * size), -np.inf)
+            padded[:, :n] = gains
+            inside = padded.reshape(rows, -1, size).max(axis=2)
+            assert (inside <= bounds + 1e-12).all(), trial
+            assert np.allclose(reached, gains[:, sizes[1:] - 1], rtol=0, atol=1e-12), trial
+
+    def test_large_root_scores_few_cuts(self, monkeypatch):
+        # A 20 000-row, 3-class root scores well under 5% of its cuts.
+        rng = np.random.default_rng(20000)
+        data = gaussian_dataset(rng, 20_000, 5, 3, spread=0.5)
+        rows = np.arange(data.n_rows)
+        scored = []
+        gains = splitcore._gains
+
+        def spy(parent, valid, n_valid):
+            scored.append(n_valid.size)
+            return gains(parent, valid, n_valid)
+
+        monkeypatch.setattr(splitcore, "_gains", spy)
+        got = best_condition(data, rows)
+        assert 0 < sum(scored) < 0.05 * data.n_rows * data.n_attributes
+        assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
+
+
 class TestSearchesFromWalks:
     """The nested row subsets of real walks, each search checked against the oracle."""
 
-    @pytest.mark.parametrize("classes", [2, 3, 8])
-    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
-    def test_every_search_matches_per_attribute_search(self, fit, classes, monkeypatch):
-        rng = np.random.default_rng(40 + classes)
-        tables = [gaussian_dataset(rng, 150, 4, classes, spread=0.8),
-                  random_dataset(rng, 150, 3, 2, classes, value_grid=6)]
+    @staticmethod
+    def _searches(fit, tables, params, test_step, monkeypatch):
+        """Every search of seeded fits on the tables, each checked against the oracle."""
         searches = []
 
         def spy(data, rows, hist=None):
@@ -654,14 +782,33 @@ class TestSearchesFromWalks:
             return got
 
         monkeypatch.setattr(eager_tree, "best_condition", spy)
-        params = SplitParams(min_count=2, max_depth=8)
         for data in tables:
-            fit(data, np.arange(data.n_rows), np.arange(0, data.n_rows, 25), 2, params, 17)
-        two = sum(np.count_nonzero(class_histogram(data, rows)) == 2 for data, rows, _ in searches)
-        assert len(searches) >= 20 and two >= 5
+            fit(data, np.arange(data.n_rows), np.arange(0, data.n_rows, test_step), 2, params, 17)
         for data, rows, got in searches:
             want = oracles.per_attribute_best_condition(data, rows)
             assert repr(got) == repr(want), rows.size
+        return searches
+
+    @pytest.mark.parametrize("classes", [2, 3, 8])
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_every_search_matches_per_attribute_search(self, fit, classes, monkeypatch):
+        rng = np.random.default_rng(40 + classes)
+        tables = [gaussian_dataset(rng, 150, 4, classes, spread=0.8),
+                  random_dataset(rng, 150, 3, 2, classes, value_grid=6)]
+        searches = self._searches(fit, tables, SplitParams(min_count=2, max_depth=8), 25,
+                                  monkeypatch)
+        two = sum(np.count_nonzero(class_histogram(data, rows)) == 2 for data, rows, _ in searches)
+        assert len(searches) >= 20 and two >= 5
+
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_pruned_searches_match_per_attribute_search(self, fit, monkeypatch):
+        # The top nodes of a 3-class table of 1 500 rows hold more than
+        # TABLE_ROWS rows, so their all-numeric blocks are pruned.
+        rng = np.random.default_rng(1500)
+        tables = [gaussian_dataset(rng, 1500, 4, 3, spread=0.6)]
+        searches = self._searches(fit, tables, SplitParams(min_count=2, max_depth=5), 600,
+                                  monkeypatch)
+        assert sum(rows.size > TABLE_ROWS for _, rows, _ in searches) >= 3
 
 
 class TestSplitParams:
