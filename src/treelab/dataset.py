@@ -52,12 +52,11 @@ class Dataset:
     its maximum, so a split-search key, ``code << label_bits | label``, fits
     their dtype.  The constructor derives all three from ``values``, a
     finite ``(n_rows, n_attributes)`` float matrix with categorical cells as
-    codes, and keeps no copy of it.  Reading ``values`` decodes them once;
-    the package never does.  Equal values share a level, so a column's zeros
-    all read back as one of ``0.0`` and ``-0.0``, which no comparison tells
-    apart.  ``categories[j]`` decodes attribute ``j`` (``None``: numeric);
-    ``numeric`` is its read-only mask.  Two datasets compare equal only if
-    they are the same object.
+    codes, and keeps no copy of it.  Equal values share a level, so a
+    column's zeros all decode as one of ``0.0`` and ``-0.0``, which no
+    comparison tells apart.  ``categories[j]`` decodes attribute ``j``
+    (``None``: numeric); ``numeric`` is its read-only mask.  Two datasets
+    compare equal only if they are the same object.
     """
 
     name: str
@@ -100,13 +99,6 @@ class Dataset:
                             ("codes", codes), ("levels", levels)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-
-    def __getattr__(self, name):  # reached only while ``name`` is unset
-        if name != "values":
-            raise AttributeError(name)
-        self.__dict__["values"] = values = self.levels[self.codes.T]
-        values.setflags(write=False)
-        return values
 
     @property
     def n_rows(self) -> int:

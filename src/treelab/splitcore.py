@@ -58,47 +58,67 @@ one class returns ``None`` at once: every side holds that class alone, so
 each gain is ``0.0``, which is not positive.
 
 A node of more than ``TABLE_ROWS`` rows prunes its all-numeric blocks
-(:func:`_pruned_cuts`).  Each attribute row's sorted cells are cut into
-chunks of ``CHUNK_CELLS``; one ``bincount`` counts the classes per chunk, a
-running sum over the chunks gives the valid side at every chunk's end, and
-one entropy pass covers both sides of every chunk end.  Write ``f(x) =
-|x| H(x)`` for a class-count vector ``x`` (``f(0) = 0``), so that a cut whose
-valid side is ``v`` has gain ``H(p) - (f(v) + f(p - v)) / n``.  ``f`` is the
-perspective of the concave entropy, hence concave, and 1-homogeneous, so
-``f(a + b) = 2 f((a + b) / 2) >= f(a) + f(b)``, and ``f >= 0``.  Valid sides
-only grow along a row: a cut inside a chunk has ``v_start <= v <= v_end``
-per class, where ``v_start`` is the valid side at the end of the chunk
-before (none at a row's start) and ``v_end`` the one at the chunk's end.  So
-``f(v) >= f(v_start) + f(v - v_start) >= f(v_start)`` and likewise ``f(p -
-v) >= f(p - v_end)``: no cut of the chunk gains more than its bound ``H(p)
-- (f(v_start) + f(p - v_end)) / n``.  Both terms are a side size times an
-entropy that the chunk-end pass has computed, so the bound costs nothing
-more.  A chunk's cuts are scored by :func:`_gains`, as before, only when its
-bound reaches ``floor - PRUNE_MARGIN``, where ``floor`` is the larger of the
-earlier blocks' best gain and the best gain of this block's chunk ends that
-are real cuts (between unequal neighbours, not at a row's end).  Each
-scored gain is the same double as when every group is scored: the valid
-side's counts are the same integers, and entropies reduce each column on
-its own.
+(:class:`_KeptCuts`).  Each attribute row's sorted cells are cut into
+chunks of ``CHUNK_CELLS``; one ``bincount`` counts the classes per chunk,
+and a running sum over the chunks gives the valid side at every chunk's
+end.  Write ``f(x) = |x| H(x)`` for a class-count vector ``x`` (``f(0) =
+0``), so that a cut whose valid side is ``v`` has gain ``H(p) - (f(v) + f(p
+- v)) / n``.  ``f`` is the perspective of the concave entropy, hence
+concave, and 1-homogeneous, so ``f(a + b) = 2 f((a + b) / 2) >= f(a) +
+f(b)``, and ``f >= 0``.  Valid sides only grow along a row: a cut inside a
+chunk has ``v_start <= v <= v_end`` per class, where ``v_start`` is the
+valid side at the end of the chunk before (none at a row's start) and
+``v_end`` the one at the chunk's end.  So ``f(v) >= f(v_start) + f(v -
+v_start) >= f(v_start)`` and likewise ``f(p - v) >= f(p - v_end)``: no cut
+of the chunk gains more than its bound ``H(p) - (f(v_start) + f(p -
+v_end)) / n``.  With ``g(c) = c log2 c`` (``g(0) = 0``), ``f(x) = g(|x|) -
+sum_k g(x_k)``: a search builds ``g`` for ``c = 0..n`` in one ``log2`` pass,
+and every chunk end's ``f`` of both sides is read from it, the class terms
+added by :func:`_class_sum`, with no division or ``log2`` per class.
 
-The margin covers rounding.  Gains and bounds are at most ``log2(classes)``
-bits, and rounding (in the entropy's terms and class sum, the weights and
-one subtraction) moves each by a few hundred ulps of that at most: ~1e-14
-for a few classes, ~1e-11 even for 10 000 classes, against a margin of
-1e-9.  So every cut of a dropped chunk scores below
-``floor``: it cannot beat the earlier blocks, which a block must do
-strictly; and when ``floor`` is a chunk end's gain, that end is a cut of a
-kept chunk (its own bound is at least its gain), so the kept maximum is at
-least ``floor`` less rounding, and a dropped cut neither exceeds nor ties
-it.  The kept cuts run in (attribute, value) order, so their first maximum
-is the block's first maximum, and the tie-break is unchanged.  Nodes of up
-to ``TABLE_ROWS`` rows are not pruned: a chunk's slack is about
-``CHUNK_CELLS * log2(n) / n`` bits, so such searches kept 5-67% of their
-cuts, and the chunk pass cost more than the pruning saved.
+A block's chunks are bounded against a running ``floor``, the best gain
+known in the node: the largest of ``0.0``, the best gain of every earlier
+direct block (one with a categorical attribute), the gains of the chunk
+ends that are real cuts (between unequal neighbours, not at a row's end)
+in this and every earlier pruned block, and the best kept cut scored so
+far.
+A chunk's cuts are kept only when its bound reaches ``floor -
+PRUNE_MARGIN``.  The kept cuts of all of a node's pruned blocks, held as
+valid sides, side sizes and the codes on both sides of each cut, are
+scored by one :func:`_gains` call per node, earlier whenever classes x
+kept cuts would reach ``BLOCK_CELLS``.  Each scored gain is the same
+double as when every group is scored: the valid side's counts are the
+same integers, and entropies reduce each column on its own.
+
+The margin covers rounding.  Gains are at most ``log2(classes)`` bits, and
+rounding (in the entropy's terms and class sum, the weights and one
+subtraction) moves each by a few hundred ulps of that at most: ~1e-14 for
+a few classes, ~1e-11 even for 10 000 classes.  In a bound, each ``g(c)``
+is within a few ulps of ``c log2 c <= g(n)``, and ``g`` is superadditive,
+so every partial class sum is at most ``g(n)`` and each of its at most
+``classes`` adds rounds by ``eps g(n)`` at most (``eps = 2**-53``); three
+``f`` values and two subtractions put the bound within about ``3 (classes
++ 8) eps log2(n)`` bits of its value once divided by ``n``: ~1e-13 for a
+few classes at n = 2**20, ~7e-11 for 10 000 classes, against a margin of
+1e-9.  So every cut of a dropped chunk scores below ``floor``.  When
+``floor`` is a direct block's gain, the dropped cut neither beats nor ties
+that candidate.  When it is a chunk end's gain, that end's chunk was kept: its
+bound is at least its gain, and the floor its block was bounded against
+was this same value; so a kept cut scores at least ``floor`` less
+rounding, and a dropped cut neither exceeds nor ties it.  When it is a
+scored kept cut's gain, that cut is kept.  The kept cuts run in
+(attribute, value) order, so their first maximum is the first of the
+pruned blocks' maxima; it meets the direct blocks' best on gain, then on
+the lower attribute, which is the order of a search that scores every
+block, and the tie-break is unchanged.  Nodes of up to ``TABLE_ROWS`` rows
+are not pruned: a chunk's slack is about ``CHUNK_CELLS * log2(n) / n``
+bits, so such searches kept 5-67% of their cuts, and the chunk pass cost
+more than the pruning saved.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from typing import Literal
@@ -121,9 +141,10 @@ _TABLE_CHUNK = 32
 
 # Consecutive sorted cells of an attribute row counted and bounded together
 # in an all-numeric block of a node of more than TABLE_ROWS rows; only the
-# cuts of the chunks whose bound reaches the best gain are scored.  16 timed
-# no better on the workloads' large nodes, and a larger chunk has a looser
-# bound.
+# cuts of the chunks whose bound reaches the floor are scored.  Timed with
+# the c log2 c bounds on the workloads' searches above TABLE_ROWS rows: 16
+# took 0.91-0.98x the time of 8 above 2 000 rows and 1.04-1.13x below, 32
+# 1.08-2.8x below 8 000 rows; a larger chunk has a looser bound.
 CHUNK_CELLS = 8
 # Slack below the best gain under which a chunk is dropped: far above the
 # rounding of gains and bounds (module docstring).
@@ -282,8 +303,8 @@ def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.nda
     the direct path.  :func:`best_condition` scores with it every group of
     a block with a categorical attribute, and every group of an all-numeric
     block when the node holds three or more classes and at most
-    ``TABLE_ROWS`` rows; in an all-numeric block of a node of more rows, it
-    scores only the cuts that :func:`_pruned_cuts` keeps.  Nodes of at most
+    ``TABLE_ROWS`` rows; in the all-numeric blocks of a node of more rows,
+    it scores only the cuts that :class:`_KeptCuts` keeps.  Nodes of at most
     ``TABLE_ROWS`` rows that hold two classes take :func:`_table_gains`
     instead.
     """
@@ -292,73 +313,133 @@ def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.nda
     return parent_entropy - (((n - n_valid) / n) * e_invalid + (n_valid / n) * e_valid)
 
 
-def _chunk_bounds(parent: np.ndarray, ends: np.ndarray,
+def _xlog2x(n: int) -> np.ndarray:
+    """``g(c) = c log2 c`` for ``c = 0..n``, with ``g(0) = 0``, in one ``log2`` pass."""
+    g = np.arange(n + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g *= np.log2(g)
+    g[0] = 0.0
+    return g
+
+
+def _chunk_bounds(g: np.ndarray, parent: np.ndarray, ends: np.ndarray,
                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each chunk's bound and the gain of the cut at its end.
 
-    ``ends`` is a ``(classes, rows, chunks + 1)`` array of valid sides: in
-    each row, column ``c + 1`` at the end of chunk ``c`` and column 0 empty;
-    ``sizes`` holds their sizes, one per column.  Returns two ``(rows,
-    chunks)`` arrays: ``H(p) - (f(start) + f(p - end)) / n``, which no cut
-    inside the chunk exceeds (module docstring), and ``H(p) - (f(end) + f(p
-    - end)) / n``, where ``f(x) = |x| H(x)``.
+    ``g`` is :func:`_xlog2x` of the node's size.  ``ends`` is a ``(classes,
+    rows, chunks + 1)`` array of valid sides: in each row, column ``c + 1``
+    at the end of chunk ``c`` and column 0 empty; ``sizes`` holds their
+    sizes, one per column.  Returns two ``(rows, chunks)`` arrays: ``H(p) -
+    (f(start) + f(p - end)) / n``, which no cut inside the chunk exceeds, and
+    ``H(p) - (f(end) + f(p - end)) / n``, where ``f(x) = g(|x|) - sum_k
+    g(x_k)`` is ``|x| H(x)`` (module docstring).
     """
     classes, rows, columns = ends.shape
-    n = parent.sum()
-    sizes = np.tile(sizes, rows)
-    e_invalid, e_valid, parent_entropy = _side_entropies(
-        parent, ends.reshape(classes, -1), sizes)
-    f_invalid = ((n - sizes) * e_invalid).reshape(rows, columns)[:, 1:]
-    f_valid = (sizes * e_valid).reshape(rows, columns)
-    bounds = parent_entropy - (f_valid[:, :-1] + f_invalid) / n
-    reached = parent_entropy - (f_valid[:, 1:] + f_invalid) / n
+    n = g.size - 1
+    valid = ends.reshape(classes, -1)
+    f_valid = _class_sum(g.take(valid)).reshape(rows, columns)
+    np.subtract(g.take(sizes), f_valid, out=f_valid)
+    f_invalid = _class_sum(g.take(parent[:, None] - valid)).reshape(rows, columns)
+    np.subtract(g.take(n - sizes), f_invalid, out=f_invalid)
+    # n H(p) - f(p - end) for each chunk, less f(start) or f(end)
+    rest = (g[n] - g.take(parent).sum()) - f_invalid[:, 1:]
+    bounds = rest - f_valid[:, :-1]
+    bounds /= n
+    reached = np.subtract(rest, f_valid[:, 1:], out=rest)
+    reached /= n
     return bounds, reached
 
 
-def _pruned_cuts(parent: np.ndarray, keys: np.ndarray, bits: int, starts: np.ndarray,
-                 best_gain: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gains of the cuts of an all-numeric block that can reach the best gain.
+class _KeptCuts:
+    """The cuts of a node's all-numeric blocks that can win, scored together.
 
-    ``keys`` is the block's ``(rows, n)`` array of sorted keys, labels in
-    their low ``bits``, and ``starts`` marks each cell that starts a group;
-    ``best_gain`` is the best gain of the earlier blocks.  Each row's cells
-    are counted per chunk of ``CHUNK_CELLS``, and a chunk's cuts are scored
-    only when its bound reaches the best gain known, less ``PRUNE_MARGIN``
-    (module docstring).  Returns the gains of the kept chunks' cuts between
-    unequal neighbours, in (attribute, value) order, and the cell after
-    which each cuts.
+    For a node of more than ``TABLE_ROWS`` rows.  :meth:`add` bounds a
+    block's chunks against the running ``floor`` and keeps the cuts of those
+    that reach it, as valid sides, side sizes and the codes on both sides of
+    each cut; :meth:`score` scores every kept cut in one :func:`_gains` call,
+    and runs early whenever classes x kept cuts would reach ``BLOCK_CELLS``.
+    ``gain``, ``low`` and ``high`` are the first best kept cut's gain and
+    codes in (attribute, value) order (``low`` is ``None`` until a cut is
+    scored).
     """
-    classes = parent.size
-    rows, n = keys.shape
-    # Class counts per chunk, class-major, each row's chunks after one empty
-    # column; their running sum is the valid side at each chunk's end.
-    chunks = -(-n // CHUNK_CELLS)
-    k = rows * (chunks + 1)
-    index = np.bitwise_and(keys, (1 << bits) - 1, dtype=np.int64)
-    index *= k
-    index += np.repeat(np.arange(1, chunks + 1), CHUNK_CELLS)[:n]
-    index += np.arange(0, k, chunks + 1)[:, None]
-    ends = np.bincount(index.ravel(), minlength=classes * k).reshape(classes, rows, chunks + 1)
-    del index
-    np.cumsum(ends, axis=2, out=ends)
-    bounds, reached = _chunk_bounds(
-        parent, ends, np.minimum(np.arange(chunks + 1) * CHUNK_CELLS, n))
-    # A chunk's end is a real cut unless it ends its row or falls inside a
-    # group; the block reaches the best of their gains.
-    real = starts.reshape(rows, n)[:, CHUNK_CELLS::CHUNK_CELLS]
-    floor = max(best_gain, reached[:, :-1][real].max(initial=-np.inf))
-    keep = np.flatnonzero(bounds >= floor - PRUNE_MARGIN)
 
-    # The kept chunks' cells; cells past a row's end repeat its last cell
-    # and are not cuts.
-    row, chunk = np.divmod(keep, chunks)
-    position = chunk[:, None] * CHUNK_CELLS + np.arange(CHUNK_CELLS)
-    cells = row[:, None] * n + np.minimum(position, n - 1)
-    labels = keys.ravel()[cells] & ((1 << bits) - 1)
-    valid = np.cumsum(labels == np.arange(classes)[:, None, None], axis=2)
-    valid += ends.reshape(classes, k)[:, keep + row, None]
-    cut = (position < n - 1) & starts.take(cells + 1, mode="clip")
-    return _gains(parent, valid[:, cut], position[cut] + 1), cells[cut]
+    def __init__(self, parent: np.ndarray, n: int):
+        self.parent = parent
+        self.g = _xlog2x(n)
+        # Each cell's column in its row's chunk counts, after an empty column
+        # 0, and the valid side's size at each column.
+        self.column = np.arange(n) // CHUNK_CELLS + 1
+        self.sizes = np.minimum(np.arange(-(-n // CHUNK_CELLS) + 1) * CHUNK_CELLS, n)
+        self.floor = 0.0
+        self.kept = []
+        self.pending = 0
+        self.gain, self.low, self.high = -np.inf, None, None
+
+    def add(self, keys: np.ndarray, bits: int, starts: np.ndarray, flat: np.ndarray,
+            best_gain: float) -> None:
+        """Keep the cuts of a block's chunks whose bound reaches the floor.
+
+        ``keys`` is the block's ``(rows, n)`` array of sorted keys, labels in
+        their low ``bits``, ``starts`` marks each cell that starts a group
+        and ``flat`` holds the cells' codes; ``best_gain`` is the best gain
+        of the node's earlier direct blocks.  Each row's cells are counted
+        per chunk of ``CHUNK_CELLS``, and a chunk's cuts are kept only when
+        its bound reaches the floor less ``PRUNE_MARGIN`` (module docstring).
+        """
+        parent = self.parent
+        classes = parent.size
+        rows, n = keys.shape
+        # Class counts per chunk, class-major, each row's chunks after one empty
+        # column; their running sum is the valid side at each chunk's end.
+        chunks = self.sizes.size - 1
+        k = rows * (chunks + 1)
+        index = np.bitwise_and(keys, (1 << bits) - 1, dtype=np.int64)
+        index *= k
+        index += self.column
+        index += np.arange(0, k, chunks + 1)[:, None]
+        ends = np.bincount(index.ravel(), minlength=classes * k).reshape(classes, rows, chunks + 1)
+        del index
+        np.cumsum(ends, axis=2, out=ends)
+        bounds, reached = _chunk_bounds(self.g, parent, ends, self.sizes)
+        # A chunk's end is a real cut unless it ends its row or falls inside a
+        # group; the floor rises to the best of their gains.
+        real = starts.reshape(rows, n)[:, CHUNK_CELLS::CHUNK_CELLS]
+        reached = np.where(real, reached[:, :-1], -np.inf).max(initial=-np.inf)
+        self.floor = max(self.floor, best_gain, reached)
+        keep = np.flatnonzero(bounds >= self.floor - PRUNE_MARGIN)
+        if not keep.size:
+            return
+
+        # The kept chunks' cells; cells past a row's end repeat its last cell
+        # and are not cuts.
+        row, chunk = np.divmod(keep, chunks)
+        position = chunk[:, None] * CHUNK_CELLS + np.arange(CHUNK_CELLS)
+        cells = row[:, None] * n + np.minimum(position, n - 1)
+        labels = keys.ravel()[cells] & ((1 << bits) - 1)
+        valid = np.cumsum(labels == np.arange(classes)[:, None, None], axis=2)
+        valid += ends.reshape(classes, k)[:, keep + row, None]
+        cut = (position < n - 1) & starts.take(cells + 1, mode="clip")
+        cells = cells[cut]
+        # The earlier blocks' cuts are scored first when this block's would
+        # bring them to BLOCK_CELLS, and this block's when they reach it.
+        if classes * (self.pending + cells.size) >= BLOCK_CELLS:
+            self.score()
+        self.kept.append((valid[:, cut], position[cut] + 1, flat[cells], flat[cells + 1]))
+        self.pending += cells.size
+        if classes * self.pending >= BLOCK_CELLS:
+            self.score()
+
+    def score(self) -> None:
+        """Score the kept cuts; a later cut must beat the best so far strictly."""
+        if not self.pending:
+            return
+        valid, n_valid, low, high = (np.concatenate(parts, axis=-1) for parts in zip(*self.kept))
+        self.kept, self.pending = [], 0
+        gains = _gains(self.parent, valid, n_valid)
+        pick = int(np.argmax(gains))
+        if gains[pick] > self.gain:
+            self.gain, self.low, self.high = float(gains[pick]), low[pick], high[pick]
+            self.floor = max(self.floor, self.gain)
 
 
 def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:
@@ -422,6 +503,7 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
 
     best: Condition | None = None
     best_gain = 0.0
+    kept = None
     width = max(1, BLOCK_CELLS // n)
     for first in range(0, data.n_attributes, width):
         # Row j of the block is attribute first + j; each row is sorted on
@@ -436,27 +518,23 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         starts[0] = True
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
         all_numeric = numeric[first:first + width].all()
-        if all_numeric and (two_class or n > TABLE_ROWS):
-            if two_class:
-                # Every cell is scored as a cut, and the cuts inside a group
-                # are dropped.  The cut after cell j of a row leaves j + 1
-                # rows valid, prefix0 of them of the lower class; after a
-                # row's last cell, none invalid, which scores 0.0 and never
-                # wins.
-                prefix0 = np.cumsum((keys & 1) == 0, axis=1)
-                gains = _table_gains(parent_entropy, n, parent0, prefix0,
-                                     np.arange(1, n + 1))
-                gains = np.where(starts[1:], gains.ravel()[:-1], -np.inf)
-                cells = None
-            else:
-                gains, cells = _pruned_cuts(parent, keys, bits, starts, best_gain)
-                if gains.size == 0:
-                    continue
+        if all_numeric and n > TABLE_ROWS:
+            if kept is None:
+                kept = _KeptCuts(parent, n)
+            kept.add(keys, bits, starts, flat, best_gain)
+            continue
+        if all_numeric and two_class:
+            # Every cell is scored as a cut, and the cuts inside a group are
+            # dropped.  The cut after cell j of a row leaves j + 1 rows
+            # valid, prefix0 of them of the lower class; after a row's last
+            # cell, none invalid, which scores 0.0 and never wins.
+            prefix0 = np.cumsum((keys & 1) == 0, axis=1)
+            gains = _table_gains(parent_entropy, n, parent0, prefix0, np.arange(1, n + 1))
+            gains = np.where(starts[1:], gains.ravel()[:-1], -np.inf)
             pick = int(np.argmax(gains))
             if gains[pick] > best_gain:
                 best_gain = float(gains[pick])
-                cell = pick if cells is None else int(cells[pick])
-                best = _threshold(data, first + cell // n, flat[cell], flat[cell + 1])
+                best = _threshold(data, first + pick // n, flat[pick], flat[pick + 1])
             continue
         if two_class:
             # Rows of the lower class (label 0 in the keys) up to and
@@ -516,6 +594,15 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
             else:
                 best = _threshold(data, attribute, flat[group_start[pick]],
                                   flat[group_end[pick]])
+    if kept is not None:
+        # The best kept cut against the direct blocks' best: the higher
+        # gain wins, and a tie goes to the lower attribute.
+        kept.score()
+        if kept.low is not None:
+            attribute = bisect_right(data.offsets, kept.low) - 1
+            if kept.gain > best_gain or (best is not None and kept.gain == best_gain
+                                         and attribute < best.attribute):
+                best = _threshold(data, attribute, kept.low, kept.high)
     return best
 
 

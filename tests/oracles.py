@@ -6,6 +6,7 @@ it shares no code path with the vectorized implementations it verifies.
 
 import csv
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,10 +39,22 @@ def histogram(labels, class_count):
     return counts
 
 
+@lru_cache(maxsize=8)
+def decode(data):
+    """A dataset's ``(n_rows, n_attributes)`` value matrix, decoded from its rank codes.
+
+    Read-only, and kept for the last few datasets decoded.
+    """
+    values = data.levels[data.codes.T]
+    values.setflags(write=False)
+    return values
+
+
 def iter_candidates(data, rows):
     """All candidate conditions in tie-break order (attribute, then value)."""
+    values = decode(data)
     for attribute in range(data.n_attributes):
-        cells = [float(data.values[r, attribute]) for r in rows]
+        cells = [float(values[r, attribute]) for r in rows]
         if data.categories[attribute] is None:
             distinct = sorted(set(cells))
             for low, high in zip(distinct, distinct[1:]):
@@ -82,7 +95,7 @@ def route_row(tree, row):
 
 
 def gain_of(data, rows, cond):
-    invalid, valid = split_rows(data.values, rows, cond)
+    invalid, valid = split_rows(decode(data), rows, cond)
     if not invalid or not valid:
         return None
     h = data.class_count
@@ -124,7 +137,7 @@ def per_attribute_best_condition(data, rows):
     n = rows.size
     best, best_gain = None, 0.0
     for attribute in range(data.n_attributes):
-        column = data.values[rows, attribute]
+        column = data.levels[data.codes[attribute, rows]]
         if data.categories[attribute] is None:
             order = np.argsort(column, kind="stable")
             ordered = column[order]
@@ -179,7 +192,7 @@ def expand_recursion(data, rows, params):
             out.append((path, list(rows), "leaf", label))
             return
         out.append((path, list(rows), "split", cond))
-        invalid, valid = split_rows(data.values, rows, cond)
+        invalid, valid = split_rows(decode(data), rows, cond)
         rec(invalid, depth + 1, path + (0,))
         rec(valid, depth + 1, path + (1,))
 

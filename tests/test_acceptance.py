@@ -188,7 +188,7 @@ def test_criterion_4_visited_set_union():
                 # eager subtree reachable by the test rows
                 reachable = set()
                 for row in test:
-                    _, path = oracles.route_row(trees[i], data.values[row])
+                    _, path = oracles.route_row(trees[i], oracles.decode(data)[row])
                     reachable.update(path[:depth] for depth in range(len(path) + 1))
                 assert set(batched_paths) == reachable, f"trial {trial}"
 
@@ -264,8 +264,8 @@ def test_criterion_8_benchmark_determinism(tmp_path):
         csv_path = tmp_path / "bench.csv"
         header = list(data.attr_names) + [data.label_name]
         lines = [",".join(header)]
-        for i in range(data.n_rows):
-            cells = [repr(float(v)) for v in data.values[i]]
+        for i, row in enumerate(oracles.decode(data)):
+            cells = [repr(float(v)) for v in row]
             cells.append(data.class_names[data.labels[i]])
             lines.append(",".join(cells))
         csv_path.write_text("\n".join(lines) + "\n")

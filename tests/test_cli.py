@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import find_full_coverage_seed, random_dataset
+from oracles import decode
 from treelab import SplitParams, bench, cli, load_csv, run_cv
 from treelab.cli import (
     EXIT_BAD_PARAMS,
@@ -36,8 +37,8 @@ SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent
 def write_dataset_csv(path, data, with_labels=True):
     header = list(data.attr_names) + ([data.label_name] if with_labels else [])
     lines = [",".join(header)]
-    for i in range(data.n_rows):
-        cells = [repr(float(v)) for v in data.values[i]]
+    for i, row in enumerate(decode(data)):
+        cells = [repr(float(v)) for v in row]
         if with_labels:
             cells.append(data.class_names[data.labels[i]])
         lines.append(",".join(cells))
@@ -60,7 +61,7 @@ def train_test_csvs(tmp_path):
     # test file: first 6 rows, no label column
     header = ",".join(data.attr_names)
     lines = [header] + [
-        ",".join(repr(float(v)) for v in data.values[i]) for i in range(6)
+        ",".join(repr(float(v)) for v in row) for row in decode(data)[:6]
     ]
     test = tmp_path / "test.csv"
     test.write_text("\n".join(lines) + "\n")
@@ -528,7 +529,7 @@ class TestTrace:
         train = write_dataset_csv(tmp_path / "big.csv", data)
         test = tmp_path / "bigtest.csv"
         header = ",".join(data.attr_names)
-        rows = [",".join(repr(float(v)) for v in data.values[i]) for i in range(80)]
+        rows = [",".join(repr(float(v)) for v in row) for row in decode(data)[:80]]
         test.write_text("\n".join([header] + rows) + "\n")
         out = tmp_path / "trace.txt"
         args = [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import awkward_datasets, awkward_tables, dataset_from_arrays, random_dataset
 from oracles import (
     SplitMix64,
+    decode,
     iter_candidates,
     per_attribute_best_condition,
     reference_load_csv,
@@ -83,7 +84,7 @@ class TestLoadCsv:
     def test_mixed_column_becomes_categorical(self, tmp_path):
         data = load_csv(write(tmp_path, "a,b\n1,x\nfoo,y\n2,x\n"))
         assert data.categories[0] == ("1", "foo", "2")
-        assert data.values[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert decode(data)[:, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_non_finite_numbers_are_categorical(self, tmp_path):
         data = load_csv(write(tmp_path, "a,b\n1,x\ninf,y\nnan,x\n"))
@@ -182,7 +183,7 @@ def assert_loads_match(path, has_header):
     want, want_error = outcome(reference_load_csv, path, has_header)
     assert error == want_error
     if train is not None:
-        assert train.values.tobytes() == want["values"].tobytes()
+        assert decode(train).tobytes() == want["values"].tobytes()
         assert train.labels.tolist() == want["labels"]
         for name in ("attr_names", "label_name", "class_names", "categories"):
             assert getattr(train, name) == want[name], name
@@ -317,7 +318,7 @@ class TestPlainFastPath:
         got = load_csv(train_path, has_header=has_header)
         for name in ("name", "attr_names", "class_names", "categories", "label_name"):
             assert getattr(got, name) == getattr(want, name), name
-        for name in ("values", "labels", "numeric", "codes", "levels"):
+        for name in ("labels", "numeric", "codes", "levels"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         matrix = load_prediction_rows(got, test_path, has_header=has_header)
@@ -546,7 +547,7 @@ class TestRankCodes:
         assert not data.codes.flags.writeable and not data.levels.flags.writeable
         for j in range(data.n_attributes):
             assert np.array_equal(data.levels[data.codes[j]], values[:, j])
-        assert np.array_equal(data.values, values) and not data.values.flags.writeable
+        assert np.array_equal(decode(data), values)
 
     @given(data=awkward_datasets())
     @settings(max_examples=200, deadline=None)
@@ -613,12 +614,23 @@ class TestRankCodes:
                     assert not (array.dtype == np.float64 and array.shape == shape), (name, field)
 
     def test_cv_never_decodes_the_values(self, benchmark_dir):
+        # A fit reads the codes and decodes its test rows (a fold) from the
+        # levels; no array it derives from the levels holds the whole table.
+        class Levels(np.ndarray):
+            largest = 0
+
+            def __array_finalize__(self, obj):
+                Levels.largest = max(Levels.largest, self.size)
+
         tables = {"cv": load_csv(benchmark_dir / "cv.csv"),
                   "mixed": random_dataset(np.random.default_rng(4), 60, 2, 2, 3)}
         for name, data in tables.items():
+            object.__setattr__(data, "levels", data.levels.view(Levels))
             for algorithm in ("dt", "lazy", "batched"):
+                Levels.largest = 0
                 run_cv(data, algorithm, 2, 1, SplitParams(max_depth=3), seed=0)
-                assert "values" not in vars(data), (name, algorithm)
+                assert 0 < Levels.largest < data.n_rows * data.n_attributes, (name, algorithm)
+            assert not hasattr(data, "values"), name
 
     def test_both_zeros_read_as_one_zero(self):
         # levels keeps one zero per column, so in a column holding both
@@ -632,9 +644,9 @@ class TestRankCodes:
         zero = mixed == 0
         assert np.signbit(mixed[zero]).any() and not np.signbit(mixed[zero]).all()
         data, plain = (dataset_from_arrays(values, labels) for values in (mixed, positive))
-        assert np.array_equal(data.values, mixed)
+        assert np.array_equal(decode(data), mixed)
         for j in range(2):
-            assert np.unique(np.signbit(data.values[zero[:, j], j])).size == 1
+            assert np.unique(np.signbit(decode(data)[zero[:, j], j])).size == 1
 
         rows = np.arange(40)
         conditions = list(iter_candidates(plain, rows)) + [

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import dataset_from_arrays, find_full_coverage_seed, random_dataset
-from oracles import count_nodes, dump_tree, route_row
+from oracles import count_nodes, decode, dump_tree, route_row
 from treelab import (
     RunMetrics,
     SplitParams,
@@ -142,7 +142,7 @@ class TestPredictRow:
             replay = oracles.expand_recursion(data, np.arange(n), params)
             leaf_rows = {path: rows for path, rows, kind, _ in replay if kind == "leaf"}
             for r in range(n):
-                label, path = route_row(tree, data.values[r])
+                label, path = route_row(tree, decode(data)[r])
                 assert r in leaf_rows[path]
 
 
@@ -325,7 +325,7 @@ class TestFitPredictEager:
         rng = np.random.default_rng(61)
         data = random_dataset(rng, 90, 2, 2, 3)
         train = np.arange(60)
-        test = data.values[60:].copy()
+        test = decode(data)[60:].copy()
         test[::3, 3] = -1.0
         params = SplitParams(min_count=min_count)
         share = 1.0 / b

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import dataset_from_arrays, find_full_coverage_seed, random_dataset
-from oracles import route_row
+from oracles import decode, route_row
 from treelab import (
     RunMetrics,
     SplitParams,
@@ -42,7 +42,7 @@ class TestPathEquivalence:
                 tree = build_tree(data, sample, params,
                                   RunMetrics("DT"))
                 for j, row in enumerate(test):
-                    label, path = route_row(tree, data.values[row])
+                    label, path = route_row(tree, decode(data)[row])
                     walk = lazy_path_of_row(events, i, j)
                     assert walk[-1].condition is None
                     assert walk[-1].label == label

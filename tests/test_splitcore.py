@@ -694,6 +694,61 @@ def large_numeric_tables(draw):
     return data, rows
 
 
+@st.composite
+def large_mixed_tables(draw):
+    """A table of more than TABLE_ROWS rows mixing both attribute kinds, and its rows.
+
+    The rows hold 2-10 classes.  Attributes come in blocks of the search's
+    width, each all numeric or mixed, so pruned blocks compete with direct
+    ones.  A binary categorical column that tracks the labels has a numeric
+    copy of its codes before it or after it: the copy's one cut and the
+    column's ``== 0`` candidate have the same valid side, so their gains tie
+    exactly.  Tight tables start with a run of class 0 that fills whole
+    chunks, read in row order by a numeric column: the chunk that ends the
+    run has a bound equal to the gain at its end, the closest a chunk comes
+    to the floor; their binary column is noisier, so that the run can win.
+    """
+    classes = draw(st.integers(2, 10))
+    n = draw(st.integers(TABLE_ROWS + 1, 3000))
+    width = BLOCK_CELLS // n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, classes, size=n)
+    tight = draw(st.booleans())
+    if tight:
+        run = int(rng.integers(n // 8, n // 3))
+        labels[:run - run % splitcore.CHUNK_CELLS] = 0
+    noise = 0.5 if tight else draw(st.sampled_from([0.02, 0.2, 0.5]))
+    binary = np.where(rng.random(n) < noise, rng.integers(0, 2, size=n), labels < classes // 2)
+    kinds = []
+    for numeric_block in draw(st.lists(st.booleans(), min_size=2, max_size=3)):
+        block = ["n" if numeric_block or rng.random() < 0.5 else "c" for _ in range(width)]
+        block[int(rng.integers(width))] = "n" if numeric_block else "c"
+        kinds += block
+    # The pair sits in the first numeric-only and the first mixed block.
+    numeric_at = [j for j in range(0, len(kinds), width) if "c" not in kinds[j:j + width]]
+    mixed_at = [j for j in range(0, len(kinds), width) if "c" in kinds[j:j + width]]
+    columns = []
+    for j, kind in enumerate(kinds):
+        if kind == "c":
+            levels = int(rng.integers(2, 9))
+            columns.append(np.where(rng.random(n) < 0.3, labels % levels,
+                                    rng.integers(0, levels, size=n)))
+        else:
+            columns.append(np.round(rng.normal(size=n) + 0.2 * labels, int(rng.integers(0, 3))))
+    twin = None
+    if numeric_at and mixed_at:
+        twin = numeric_at[0] + int(rng.integers(width))
+        cat = next(j for j in range(mixed_at[0], mixed_at[0] + width) if kinds[j] == "c")
+        columns[twin], columns[cat] = binary.astype(np.float64), binary
+    order = [j for j, kind in enumerate(kinds) if kind == "n" and j != twin]
+    if tight and order:
+        columns[order[int(rng.integers(len(order)))]] = np.arange(n, dtype=np.float64)
+    data = dataset_from_arrays(np.column_stack(columns), labels, kinds="".join(kinds),
+                               class_names=tuple(f"k{c}" for c in range(classes)))
+    rows = np.arange(n) if tight or draw(st.booleans()) else rng.integers(0, n, size=n)
+    return data, rows
+
+
 class TestPrunedSearch:
     """All-numeric blocks of nodes above TABLE_ROWS rows score only chunks that can win."""
 
@@ -703,6 +758,65 @@ class TestPrunedSearch:
         data, rows = table
         want = oracles.per_attribute_best_condition(data, rows)
         assert repr(best_condition(data, rows)) == repr(want)
+
+    @given(table=large_mixed_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_blocks_match_per_attribute_search(self, table):
+        data, rows = table
+        want = oracles.per_attribute_best_condition(data, rows)
+        assert repr(best_condition(data, rows)) == repr(want)
+
+    @pytest.mark.parametrize("copy_first", [True, False])
+    def test_numeric_copy_of_a_binary_column_ties_it(self, copy_first):
+        # A 1 500-row, 4-class node searches attributes 0-9 and 10-19 in two
+        # blocks: one all numeric, which is pruned, and one mixed.  The
+        # binary column and its numeric copy win with the same gain, so the
+        # lower attribute takes the split.
+        rng = np.random.default_rng(1500)
+        n = 1500
+        labels = rng.integers(0, 4, size=n)
+        binary = np.where(rng.random(n) < 0.05, rng.integers(0, 2, size=n), labels < 2)
+        values = np.round(rng.normal(size=(n, 20)) + 0.1 * labels[:, None], 2)
+        kinds = ["n"] * 20
+        twin, cat = (3, 14) if copy_first else (14, 3)
+        for j in (cat, 6 + 10 * copy_first):
+            kinds[j] = "c"
+            values[:, j] = rng.integers(0, 5, size=n)
+        values[:, twin], values[:, cat] = binary, binary
+        data = dataset_from_arrays(values, labels, kinds="".join(kinds))
+        rows = np.arange(n)
+        assert BLOCK_CELLS // n == 10 and data.numeric[twin // 10 * 10:][:10].all()
+        got = best_condition(data, rows)
+        want = (Condition(attribute=twin, op="le", value=0.5) if copy_first
+                else Condition(attribute=cat, op="eq", value=0.0))
+        assert got == want
+        assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
+
+    def test_numeric_cut_just_above_an_earlier_categorical_wins(self):
+        # Attributes 0-4 form a mixed block, 5-9 an all-numeric one.  The
+        # categorical attribute 1 isolates 199 rows of class 0; the order
+        # column 7 isolates 200, for less than 1e-3 bits more, at the end of
+        # a run of whole pure chunks, whose bound equals its gain.  A floor
+        # raised by the slightest slack above the categorical gain drops it.
+        rng = np.random.default_rng(3000)
+        n = 3000
+        labels = np.where(rng.random(n) < 0.25, 0, rng.integers(1, 4, size=n))
+        labels[:200] = 0
+        labels[200:208] = [1, 2, 3, 1, 2, 3, 1, 2]
+        values = np.round(rng.normal(size=(n, 10)), 2)
+        values[:, 1] = np.arange(n) < 199
+        values[:, 3] = rng.integers(0, 4, size=n)
+        values[:, 7] = np.arange(n)
+        data = dataset_from_arrays(values, labels, kinds="ncncnnnnnn")
+        rows = np.arange(n)
+        assert BLOCK_CELLS // n == 5 and 200 % splitcore.CHUNK_CELLS == 0
+        want = Condition(attribute=7, op="le", value=199.5)
+        categorical = Condition(attribute=1, op="eq", value=0.0)
+        margin = oracles.gain_of(data, rows, want) - oracles.gain_of(data, rows, categorical)
+        assert 0 < margin < 1e-3
+        got = best_condition(data, rows)
+        assert got == want
+        assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
 
     def test_mirrored_tie_breaks_to_lowest_threshold(self):
         # Labels 0 x 200, then 1, 2 at random, then the mirror: the cuts after
@@ -723,32 +837,68 @@ class TestPrunedSearch:
         assert cond == Condition(attribute=5, op="le", value=199.5)
         assert repr(cond) == repr(oracles.per_attribute_best_condition(data, rows))
 
+    @staticmethod
+    def _bound_errors(labels, classes):
+        """How far cuts exceed their chunk's bound, and chunk ends their bound-pass gain.
+
+        ``labels`` is a ``(rows, n)`` array of class sequences along the
+        sorted rows of a block, each a permutation of the node's labels.
+        Exact gains come from ``_gains`` over a few thousand cuts at a time.
+        Returns the largest ``gain - bound`` over every cut and the largest
+        ``|reached - gain|`` over the chunk ends.
+        """
+        rows, n = labels.shape
+        size = splitcore.CHUNK_CELLS
+        parent = np.bincount(labels[0], minlength=classes)
+        chunks = -(-n // size)
+        sizes = np.minimum(np.arange(chunks + 1) * size, n)
+        ends = np.zeros((classes, rows, chunks + 1), dtype=np.int64)
+        np.add.at(ends, (labels, np.arange(rows)[:, None], np.arange(n) // size + 1), 1)
+        np.cumsum(ends, axis=2, out=ends)
+        bounds, reached = splitcore._chunk_bounds(splitcore._xlog2x(n), parent, ends, sizes)
+        step = max(1, 2**18 // (classes * size)) * size
+        excess = gap = -np.inf
+        for row in range(rows):
+            for first in range(0, n, step):
+                chunk = first // size
+                hot = labels[row, first:first + step] == np.arange(classes)[:, None]
+                valid = np.cumsum(hot, axis=1) + ends[:, row, chunk, None]
+                n_valid = np.arange(first + 1, first + hot.shape[1] + 1)
+                gains = splitcore._gains(parent, valid, n_valid)
+                padded = np.full(-(-gains.size // size) * size, -np.inf)
+                padded[:gains.size] = gains
+                inside = padded.reshape(-1, size).max(axis=1)
+                excess = max(excess, (inside - bounds[row, chunk:chunk + inside.size]).max())
+                last = np.minimum(np.arange(size - 1, padded.size, size), gains.size - 1)
+                gap = max(gap, np.abs(reached[row, chunk:chunk + inside.size] - gains[last]).max())
+        return excess, gap
+
     def test_bounds_cover_every_cut_of_their_chunk(self):
         # Random class sequences along the sorted rows of a block, skewed and
         # with runs: no cut inside a chunk scores above the chunk's bound,
         # and each chunk's end scores what the bound pass says it does.
         rng = np.random.default_rng(8)
-        size = splitcore.CHUNK_CELLS
         for trial in range(300):
             classes = int(rng.integers(2, 10))
             n = int(rng.integers(1, 300))
             weights = rng.dirichlet(np.full(classes, rng.choice([0.2, 1.0, 5.0])))
             base = rng.choice(classes, size=n, p=weights)
             labels = np.stack([base, np.sort(base), rng.permutation(base)])
-            rows = labels.shape[0]
-            parent = np.bincount(base, minlength=classes)
-            valid = np.cumsum(labels == np.arange(classes)[:, None, None], axis=2)
-            sizes = np.minimum(np.arange(-(-n // size) + 1) * size, n)
-            ends = np.zeros((classes, rows, sizes.size), dtype=np.int64)
-            ends[:, :, 1:] = valid[:, :, sizes[1:] - 1]
-            bounds, reached = splitcore._chunk_bounds(parent, ends, sizes)
-            gains = splitcore._gains(parent, valid.reshape(classes, -1),
-                                     np.tile(np.arange(1, n + 1), rows)).reshape(rows, n)
-            padded = np.full((rows, bounds.shape[1] * size), -np.inf)
-            padded[:, :n] = gains
-            inside = padded.reshape(rows, -1, size).max(axis=2)
-            assert (inside <= bounds + 1e-12).all(), trial
-            assert np.allclose(reached, gains[:, sizes[1:] - 1], rtol=0, atol=1e-12), trial
+            excess, gap = self._bound_errors(labels, classes)
+            assert excess <= 1e-12 and gap <= 1e-12, trial
+
+    @pytest.mark.parametrize("classes, n", [(200, 50_000), (1_000, 20_000), (3_000, 10_000)])
+    def test_bound_rounding_stays_far_below_the_margin(self, classes, n):
+        # The bounds' c log2 c terms grow with n and their class sums with
+        # the classes; the module docstring bounds the rounding at ~1e-11
+        # bits for 10 000 classes, a hundredth of PRUNE_MARGIN.  A sorted
+        # row starts with a pure chunk, whose bound equals its end's gain.
+        rng = np.random.default_rng(classes)
+        base = rng.choice(classes, size=n, p=rng.dirichlet(np.full(classes, 0.5)))
+        excess, gap = self._bound_errors(np.stack([np.sort(base), rng.permutation(base)]),
+                                         classes)
+        assert excess <= 1e-11 and gap <= 1e-11
+        assert 1e-11 <= splitcore.PRUNE_MARGIN / 100
 
     def test_large_root_scores_few_cuts(self, monkeypatch):
         # A 20 000-row, 3-class root scores well under 5% of its cuts.
