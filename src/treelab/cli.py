@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
+        if not Path(args.out).name:  # "." or "/": no file can be named beside it
+            raise CliError(f"cannot write {Path(args.out)}: {os.strerror(errno.EISDIR)}",
+                           EXIT_OUTPUT_ERROR)
         return args.func(args)
     except CliError as exc:
         print(f"treelab: {exc}", file=sys.stderr)

@@ -29,6 +29,9 @@ import numpy as np
 from .rng import draws_below
 
 MISSING_CELLS = frozenset({"", "?"})
+# Both readers decode UTF-8 and drop a leading byte-order mark, so a file
+# saved with one loads exactly like the same file without it.
+ENCODING = "utf-8-sig"
 
 
 class DatasetError(Exception):
@@ -158,7 +161,7 @@ def _read_plain(
     ``float`` reads differently, such as ``1_000``, ``\\u0663`` or ``?``.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding=ENCODING) as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError):
         return None
@@ -200,7 +203,7 @@ def _read_rows(
     Cells are stripped, and data rows holding a missing cell are dropped.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding=ENCODING) as handle:
             rows = [tuple(map(str.strip, row)) for row in csv.reader(handle) if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc

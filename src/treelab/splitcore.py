@@ -4,8 +4,19 @@ All three algorithms call the same :func:`best_condition`, so equal row
 subsets always produce identical splits.  Candidates are binary tests:
 ``value <= threshold`` on numeric attributes (thresholds at midpoints of
 consecutive distinct values) and ``value == code`` on categorical ones (one
-candidate per code present).  The score is Shannon information gain in bits;
-ties break to the lowest attribute index, then the lowest threshold or code.
+candidate per code present).  The score is Shannon information gain in bits.
+
+One rule picks the split: the highest gain, then the lowest attribute
+index, then the lowest threshold or code.  A candidate is the tuple
+``(gain, -low, high)`` of its gain and the codes below and above its cut, a
+categorical group's code on both sides.  Codes ascend with the attribute
+and then with the value, so the larger tuple is the winner.  The node's
+best starts at ``_NO_SPLIT``, of gain ``0.0``, which every candidate of gain
+``0.0`` compares below, and each scoring pass offers it its first maximum
+with ``best = max(best, candidate)``.  A pass runs over its candidates in
+(attribute, value) order, so its first maximum is its lowest-coded one; no
+attribute is scored in two passes, so the order of the passes does not
+matter.  The ``Condition`` is built once, from the winner.
 
 A search scores all attributes of a node together, in blocks of at most
 ``BLOCK_CELLS`` rows x attributes.  A block gathers the node's cells from the
@@ -106,11 +117,9 @@ that candidate.  When it is a chunk end's gain, that end's chunk was kept: its
 bound is at least its gain, and the floor its block was bounded against
 was this same value; so a kept cut scores at least ``floor`` less
 rounding, and a dropped cut neither exceeds nor ties it.  When it is a
-scored kept cut's gain, that cut is kept.  The kept cuts run in
-(attribute, value) order, so their first maximum is the first of the
-pruned blocks' maxima; it meets the direct blocks' best on gain, then on
-the lower attribute, which is the order of a search that scores every
-block, and the tie-break is unchanged.  Nodes of up to ``TABLE_ROWS`` rows
+scored kept cut's gain, that cut is kept.  So the candidates that the
+rule sees with the highest gain are those of a search that scores every
+cut, and it picks the same one.  Nodes of up to ``TABLE_ROWS`` rows
 are not pruned: a chunk's slack is about ``CHUNK_CELLS * log2(n) / n``
 bits, so such searches kept 5-67% of their cuts, and the chunk pass cost
 more than the pruning saved.
@@ -149,6 +158,10 @@ CHUNK_CELLS = 8
 # Slack below the best gain under which a chunk is dropped: far above the
 # rounding of gains and bounds (module docstring).
 PRUNE_MARGIN = 1e-9
+
+# The best of a node before any candidate is scored: (gain, -low code, high
+# code).  No code is negative, so a candidate of gain 0.0 compares below it.
+_NO_SPLIT = (0.0, 1, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,14 +289,20 @@ def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
     return np.subtract(parent_entropy, gains, out=gains)
 
 
-def _side_entropies(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray):
-    """Entropies of each candidate's invalid and valid sides, and of the node.
+def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
+    """Information gain of each column of a ``(classes, k)`` valid-side matrix.
 
-    ``parent`` is the class histogram of all rows, ``valid`` a ``(classes,
-    k)`` valid-side matrix and ``n_valid`` its column sums; the invalid side
-    is the rest of the parent.  Both sides and the parent take one entropy
-    pass: invalid columns, valid columns, then the parent's; columns are
-    reduced independently.
+    ``parent`` is the class histogram of all rows and ``n_valid`` the column
+    sums of ``valid``; the invalid side is the rest of the parent.  Both
+    sides of every candidate and the parent take one entropy pass, over the
+    invalid columns, the valid columns, then the parent's; columns are
+    reduced independently.  This is the direct path.  :func:`best_condition`
+    scores with it every group of a block with a categorical attribute, and
+    every group of an all-numeric block when the node holds three or more
+    classes and at most ``TABLE_ROWS`` rows; in the all-numeric blocks of a
+    node of more rows, it scores only the cuts that :class:`_KeptCuts`
+    keeps.  Nodes of at most ``TABLE_ROWS`` rows that hold two classes take
+    :func:`_table_gains` instead.
     """
     n = parent.sum()
     k = n_valid.size
@@ -292,25 +311,7 @@ def _side_entropies(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray):
     sides[:, k:-1] = valid
     sides[:, -1] = parent
     entropies = _entropies(sides, np.concatenate([n - n_valid, n_valid, [n]]))
-    return entropies[:k], entropies[k:-1], entropies[-1]
-
-
-def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
-    """Information gain of each column of a ``(classes, k)`` valid-side matrix.
-
-    ``parent`` is the class histogram of all rows and ``n_valid`` the column
-    sums of ``valid``; the invalid side is the rest of the parent.  This is
-    the direct path.  :func:`best_condition` scores with it every group of
-    a block with a categorical attribute, and every group of an all-numeric
-    block when the node holds three or more classes and at most
-    ``TABLE_ROWS`` rows; in the all-numeric blocks of a node of more rows,
-    it scores only the cuts that :class:`_KeptCuts` keeps.  Nodes of at most
-    ``TABLE_ROWS`` rows that hold two classes take :func:`_table_gains`
-    instead.
-    """
-    n = parent.sum()
-    e_invalid, e_valid, parent_entropy = _side_entropies(parent, valid, n_valid)
-    return parent_entropy - (((n - n_valid) / n) * e_invalid + (n_valid / n) * e_valid)
+    return entropies[-1] - (((n - n_valid) / n) * entropies[:k] + (n_valid / n) * entropies[k:-1])
 
 
 def _xlog2x(n: int) -> np.ndarray:
@@ -358,9 +359,8 @@ class _KeptCuts:
     that reach it, as valid sides, side sizes and the codes on both sides of
     each cut; :meth:`score` scores every kept cut in one :func:`_gains` call,
     and runs early whenever classes x kept cuts would reach ``BLOCK_CELLS``.
-    ``gain``, ``low`` and ``high`` are the first best kept cut's gain and
-    codes in (attribute, value) order (``low`` is ``None`` until a cut is
-    scored).
+    Both take the node's best candidate and return it, after offering it
+    the first maximum of each scoring they run (module docstring).
     """
 
     def __init__(self, parent: np.ndarray, n: int):
@@ -373,18 +373,18 @@ class _KeptCuts:
         self.floor = 0.0
         self.kept = []
         self.pending = 0
-        self.gain, self.low, self.high = -np.inf, None, None
 
     def add(self, keys: np.ndarray, bits: int, starts: np.ndarray, flat: np.ndarray,
-            best_gain: float) -> None:
+            best: tuple) -> tuple:
         """Keep the cuts of a block's chunks whose bound reaches the floor.
 
         ``keys`` is the block's ``(rows, n)`` array of sorted keys, labels in
         their low ``bits``, ``starts`` marks each cell that starts a group
-        and ``flat`` holds the cells' codes; ``best_gain`` is the best gain
-        of the node's earlier direct blocks.  Each row's cells are counted
-        per chunk of ``CHUNK_CELLS``, and a chunk's cuts are kept only when
-        its bound reaches the floor less ``PRUNE_MARGIN`` (module docstring).
+        and ``flat`` holds the cells' codes; ``best`` is the node's best
+        candidate so far, whose gain the floor takes in.  Each row's cells
+        are counted per chunk of ``CHUNK_CELLS``, and a chunk's cuts are kept
+        only when its bound reaches the floor less ``PRUNE_MARGIN`` (module
+        docstring).
         """
         parent = self.parent
         classes = parent.size
@@ -405,10 +405,10 @@ class _KeptCuts:
         # group; the floor rises to the best of their gains.
         real = starts.reshape(rows, n)[:, CHUNK_CELLS::CHUNK_CELLS]
         reached = np.where(real, reached[:, :-1], -np.inf).max(initial=-np.inf)
-        self.floor = max(self.floor, best_gain, reached)
+        self.floor = max(self.floor, best[0], reached)
         keep = np.flatnonzero(bounds >= self.floor - PRUNE_MARGIN)
         if not keep.size:
-            return
+            return best
 
         # The kept chunks' cells; cells past a row's end repeat its last cell
         # and are not cuts.
@@ -423,23 +423,24 @@ class _KeptCuts:
         # The earlier blocks' cuts are scored first when this block's would
         # bring them to BLOCK_CELLS, and this block's when they reach it.
         if classes * (self.pending + cells.size) >= BLOCK_CELLS:
-            self.score()
+            best = self.score(best)
         self.kept.append((valid[:, cut], position[cut] + 1, flat[cells], flat[cells + 1]))
         self.pending += cells.size
         if classes * self.pending >= BLOCK_CELLS:
-            self.score()
+            best = self.score(best)
+        return best
 
-    def score(self) -> None:
-        """Score the kept cuts; a later cut must beat the best so far strictly."""
+    def score(self, best: tuple) -> tuple:
+        """Score the kept cuts and offer their first maximum to ``best``."""
         if not self.pending:
-            return
+            return best
         valid, n_valid, low, high = (np.concatenate(parts, axis=-1) for parts in zip(*self.kept))
         self.kept, self.pending = [], 0
         gains = _gains(self.parent, valid, n_valid)
         pick = int(np.argmax(gains))
-        if gains[pick] > self.gain:
-            self.gain, self.low, self.high = float(gains[pick]), low[pick], high[pick]
-            self.floor = max(self.floor, self.gain)
+        best = max(best, (float(gains[pick]), -int(low[pick]), int(high[pick])))
+        self.floor = max(self.floor, best[0])
+        return best
 
 
 def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:
@@ -501,8 +502,7 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     bits = data.label_bits
     labels = labels.astype(data.codes.dtype)
 
-    best: Condition | None = None
-    best_gain = 0.0
+    best = _NO_SPLIT
     kept = None
     width = max(1, BLOCK_CELLS // n)
     for first in range(0, data.n_attributes, width):
@@ -521,7 +521,7 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         if all_numeric and n > TABLE_ROWS:
             if kept is None:
                 kept = _KeptCuts(parent, n)
-            kept.add(keys, bits, starts, flat, best_gain)
+            best = kept.add(keys, bits, starts, flat, best)
             continue
         if all_numeric and two_class:
             # Every cell is scored as a cut, and the cuts inside a group are
@@ -532,9 +532,7 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
             gains = _table_gains(parent_entropy, n, parent0, prefix0, np.arange(1, n + 1))
             gains = np.where(starts[1:], gains.ravel()[:-1], -np.inf)
             pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                best = _threshold(data, first + pick // n, flat[pick], flat[pick + 1])
+            best = max(best, (float(gains[pick]), -int(flat[pick]), int(flat[pick + 1])))
             continue
         if two_class:
             # Rows of the lower class (label 0 in the keys) up to and
@@ -582,28 +580,26 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         # invalid side empty and are not candidates.
         gains[n_valid == n] = -np.inf
 
-        # Groups run in (attribute, value) order, so the first maximum is
-        # the tie-break winner; a later block must beat it strictly.
+        # A categorical group's code is on both sides of its candidate, and a
+        # numeric group's high code starts the next group.  The block's last
+        # group, a numeric row's last, is no candidate: its clipped read
+        # never wins.
         pick = int(np.argmax(gains))
-        if gains[pick] > best_gain:
-            best_gain = float(gains[pick])
-            attribute = first + int(attr[pick])
-            if not numeric[attribute]:
-                value = float(data.levels[flat[group_start[pick]]])
-                best = Condition(attribute=attribute, op="eq", value=value)
-            else:
-                best = _threshold(data, attribute, flat[group_start[pick]],
-                                  flat[group_end[pick]])
+        low = int(flat[group_start[pick]])
+        if categorical is None or not categorical[pick]:
+            high = int(flat.take(group_end[pick], mode="clip"))
+        else:
+            high = low
+        best = max(best, (float(gains[pick]), -low, high))
     if kept is not None:
-        # The best kept cut against the direct blocks' best: the higher
-        # gain wins, and a tie goes to the lower attribute.
-        kept.score()
-        if kept.low is not None:
-            attribute = bisect_right(data.offsets, kept.low) - 1
-            if kept.gain > best_gain or (best is not None and kept.gain == best_gain
-                                         and attribute < best.attribute):
-                best = _threshold(data, attribute, kept.low, kept.high)
-    return best
+        best = kept.score(best)
+    if best is _NO_SPLIT:
+        return None
+    low, high = -best[1], best[2]
+    attribute = bisect_right(data.offsets, low) - 1
+    if not numeric[attribute]:
+        return Condition(attribute=attribute, op="eq", value=float(data.levels[low]))
+    return _threshold(data, attribute, low, high)
 
 
 def _threshold(data: Dataset, attribute: int, low: int, high: int) -> Condition:

@@ -1,0 +1,205 @@
+"""Mutants that the tests must kill: small bugs in proof-carrying code.
+
+Run from anywhere, off the tier-1 suite (pytest does not collect this file)::
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py NAME...  # the named ones
+
+Each entry names a file under ``src/``, the exact texts to replace in it
+(each found exactly once) and the tests that must then fail.  The script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
+directory per mutant, applies the edits there, runs those tests with pytest
+and prints ``killed`` (some test failed) or ``survived`` (every test
+passed); any other pytest outcome, such as a test id that names no test,
+prints ``error``.  It exits 1 unless every mutant is killed, and 2 on a
+name that is no mutant's.  A change that adds a proof-carrying path adds
+its mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPLITCORE = "src/treelab/splitcore.py"
+SEARCH = "tests/test_splitcore.py::TestBestCondition::"
+PRUNED = "tests/test_splitcore.py::TestPrunedSearch::"
+# Searches whose equal best gains fall in two scoring passes.
+RULE_TESTS = (
+    "tests/test_splitcore.py::TestTwoClassSearch::test_matches_recount_and_per_attribute_search",
+    PRUNED + "test_mixed_blocks_match_per_attribute_search",
+    PRUNED + "test_numeric_copy_of_a_binary_column_ties_it",
+)
+# Pruned searches whose best cut a too-high floor drops.
+FLOOR_TESTS = (
+    SEARCH + "test_matches_bruteforce_across_attribute_blocks",
+    PRUNED + "test_matches_per_attribute_search",
+    PRUNED + "test_mixed_blocks_match_per_attribute_search",
+    PRUNED + "test_numeric_cut_just_above_an_earlier_categorical_wins",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    edits: tuple[tuple[str, str], ...]  # (exact text, replacement)
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+# The three scoring passes of best_condition, each offering its first maximum.
+PER_CUT = "best = max(best, (float(gains[pick]), -int(flat[pick]), int(flat[pick + 1])))"
+PER_GROUP = "best = max(best, (float(gains[pick]), -low, high))"
+KEPT = "best = max(best, (float(gains[pick]), -int(low[pick]), int(high[pick])))"
+
+
+def _offer(line: str, rule: str) -> tuple[str, str]:
+    """An edit of one pass's offer: ``rule`` formats its candidate into the new line."""
+    return line, rule.format(line[len("best = max(best, "):-1])
+
+
+MUTANTS = (
+    Mutant(
+        "rule prefers the higher code", SPLITCORE,
+        (("_NO_SPLIT = (0.0, 1, 0)", "_NO_SPLIT = (0.0, np.inf, 0)"),
+         (PER_CUT, PER_CUT.replace("-int(flat[pick])", "int(flat[pick])")),
+         (PER_GROUP, PER_GROUP.replace("-low", "low")),
+         (KEPT, KEPT.replace("-int(low[pick])", "int(low[pick])")),
+         ("low, high = -best[1], best[2]", "low, high = best[1], best[2]")),
+        RULE_TESTS,
+    ),
+    Mutant(
+        "equal gains go to the later pass", SPLITCORE,
+        # The least positive double as the start, so that gains of 0.0 still lose.
+        (("_NO_SPLIT = (0.0, 1, 0)", "_NO_SPLIT = (5e-324, 1, 0)"),
+         *(_offer(line, "best = max({}, best, key=lambda c: c[0])")
+           for line in (PER_CUT, PER_GROUP, KEPT))),
+        RULE_TESTS,
+    ),
+    Mutant(
+        "equal-gain clause dropped", SPLITCORE,
+        tuple(_offer(line, "best = max(best, {}, key=lambda c: c[0])")
+              for line in (PER_CUT, PER_GROUP, KEPT)),
+        RULE_TESTS,
+    ),
+    Mutant(
+        "chunk start and end swapped in the bounds", SPLITCORE,
+        (("bounds = rest - f_valid[:, :-1]", "bounds = rest - f_valid[:, 1:]"),
+         ("reached = np.subtract(rest, f_valid[:, 1:], out=rest)",
+          "reached = np.subtract(rest, f_valid[:, :-1], out=rest)")),
+        (PRUNED + "test_matches_per_attribute_search",
+         PRUNED + "test_bounds_cover_every_cut_of_their_chunk",
+         PRUNED + "test_mirrored_tie_breaks_to_lowest_threshold"),
+    ),
+    Mutant(
+        "keep test above the floor", SPLITCORE,
+        (("bounds >= self.floor - PRUNE_MARGIN", "bounds >= self.floor + 1e-3"),),
+        FLOOR_TESTS,
+    ),
+    Mutant(
+        "running floor raised", SPLITCORE,
+        (("self.floor = max(self.floor, best[0], reached)",
+          "self.floor = max(self.floor, best[0], reached) + 1e-3"),),
+        FLOOR_TESTS,
+    ),
+    Mutant(
+        "best so far raised in the floor", SPLITCORE,
+        (("self.floor = max(self.floor, best[0], reached)",
+          "self.floor = max(self.floor, best[0] + 1e-3, reached)"),),
+        FLOOR_TESTS,
+    ),
+    Mutant(
+        "block-end code read unclipped", SPLITCORE,
+        (('int(flat.take(group_end[pick], mode="clip"))', "int(flat[group_end[pick]])"),),
+        (SEARCH + "test_constant_attributes_give_none",),
+    ),
+    Mutant(
+        "partition reads attribute 0's codes", SPLITCORE,
+        (("codes = data.codes[cond.attribute, rows]", "codes = data.codes[0, rows]"),),
+        ("tests/test_splitcore.py::TestPartition", SEARCH + "test_sides_non_empty",
+         "tests/test_eager.py::TestBuildTree::test_matches_independent_recursion_replay"),
+    ),
+    Mutant(
+        "class sum pairs its partial sums differently", SPLITCORE,
+        (("((acc[0] + acc[1]) + (acc[2] + acc[3]))", "((acc[0] + acc[2]) + (acc[1] + acc[3]))"),),
+        ("tests/test_splitcore.py::TestClassSum",),
+    ),
+    Mutant(
+        "walk pushes the invalid side first", "src/treelab/eager_tree.py",
+        (("""        if expand_all or mask.any():
+            stack.append((valid_rows, positions[mask], path + (1,), held))
+        if expand_all or not mask.all():
+            stack.append((invalid_rows, positions[~mask], path + (0,), held))""",
+          """        if expand_all or not mask.all():
+            stack.append((invalid_rows, positions[~mask], path + (0,), held))
+        if expand_all or mask.any():
+            stack.append((valid_rows, positions[mask], path + (1,), held))"""),),
+        ("tests/test_batched.py::TestOrderAndOutput::test_depth_first_invalid_before_valid",
+         "tests/test_cli.py::test_trace_golden_lines",
+         "tests/test_eager.py::TestBuildTree::test_matches_independent_recursion_replay"),
+    ),
+    Mutant(
+        "seed-mixing constant changed", "src/treelab/rng.py",
+        (("_GAMMA = 0x9E3779B97F4A7C15", "_GAMMA = 0x9E3779B97F4A7C17"),),
+        ("tests/test_rng.py", "tests/test_dataset.py::TestBootstrap"),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Make ``mutant``'s edits to its file under ``root``."""
+    path = root / mutant.path
+    text = path.read_text()
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            raise ValueError(f"{mutant.name}: {old!r} occurs {text.count(old)} times in {mutant.path}")
+        text = text.replace(old, new)
+    path.write_text(text)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """``(outcome, pytest's summary line)`` of the mutant's tests on a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="treelab-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        apply(mutant, copy)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+    lines = result.stdout.strip().splitlines() or [result.stderr.strip()]
+    summary = lines[-1].strip("= ")
+    outcome = {0: "survived", 1: "killed"}.get(result.returncode, "error")
+    return outcome, summary
+
+
+def main(argv: list[str]) -> int:
+    chosen = [mutant for mutant in MUTANTS if not argv or mutant.name in argv]
+    unknown = set(argv) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    outcomes = []
+    for mutant in chosen:
+        outcome, summary = run(mutant)
+        outcomes.append(outcome)
+        print(f"{outcome:8s} {mutant.name}: {re.sub(r' in [0-9.]+s.*', '', summary)}", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed} of {len(outcomes)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -287,7 +287,7 @@ def parse_number(cell):
 
 def read_rows(path):
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc

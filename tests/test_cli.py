@@ -592,13 +592,20 @@ class TestTrace:
         assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("out, reason", [
+    pytest.param("nodir/x.csv", "No such file or directory", id="missing_dir"),
+    pytest.param(".", "Is a directory", id="no_file_name"),
+])
 @pytest.mark.parametrize("command", ["benchmark", "predict", "trace"])
-def test_unwritable_out_message(command, toy_csv, train_test_csvs, tmp_path, capsys):
-    out = tmp_path / "nodir" / "x.csv"
+def test_unwritable_out_message(command, out, reason, toy_csv, train_test_csvs, tmp_path,
+                                capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     inputs = (["--dataset", str(toy_csv), "--folds", "2"] if command == "benchmark"
               else ["--train", str(train_test_csvs[0]), "--test", str(train_test_csvs[1])])
-    assert main([command, *inputs, "--bootstraps", "1", "--out", str(out)]) == EXIT_OUTPUT_ERROR
-    assert capsys.readouterr().err == f"treelab: cannot write {out}: No such file or directory\n"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *inputs, "--bootstraps", "1", "--out", out]) == EXIT_OUTPUT_ERROR
+    assert capsys.readouterr().err == f"treelab: cannot write {out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # Small tables, most of them usable, some of them ragged, holding missing

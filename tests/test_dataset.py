@@ -228,6 +228,7 @@ EDGE_FILES = {
     "python_only_numbers": ("a,b,label\n1_000,\u0663,x\n3,4,y\n", "csv.reader"),
     "non_finite": ("a,b,label\nnan,2,x\n3,1e400,y\n", "csv.reader"),
     "line_of_spaces": ("a,b,label\n1,2,x\n \n3,4,y\n", "csv.reader"),
+    "byte_order_mark": ("\ufeffa,b,label\n1,2,x\n3,4,y\n", "loadtxt"),
 }
 
 
@@ -297,6 +298,14 @@ def numeric_csv_text(rng, rows, m, *, labels, line_end, has_header):
     return line_end.join(lines) + line_end
 
 
+def assert_same_dataset(got, want):
+    for name in ("name", "attr_names", "class_names", "categories", "label_name", "offsets"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("labels", "numeric", "codes", "levels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestPlainFastPath:
     """All-numeric, quote-free files are parsed without ``csv.reader``."""
 
@@ -316,11 +325,7 @@ class TestPlainFastPath:
 
         monkeypatch.setattr(dataset_module.csv, "reader", refuse_csv_reader)
         got = load_csv(train_path, has_header=has_header)
-        for name in ("name", "attr_names", "class_names", "categories", "label_name"):
-            assert getattr(got, name) == getattr(want, name), name
-        for name in ("labels", "numeric", "codes", "levels"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert_same_dataset(got, want)
         matrix = load_prediction_rows(got, test_path, has_header=has_header)
         assert matrix.shape == want_matrix.shape == (25, 4)
         assert matrix.tobytes() == want_matrix.tobytes()
@@ -338,6 +343,50 @@ class TestPlainFastPath:
         load_prediction_rows(numeric, numeric_train)
         with pytest.raises(CsvReaderCalled):
             load_prediction_rows(mixed, write(tmp_path, "a,b\n1,2\n", "test.csv"))
+
+
+# Training files for both readers: numpy's for the numeric ones, csv.reader's
+# for the categorical one.
+BOM_TRAIN_FILES = {
+    "header": ("a,b,label\n1,2.5,x\n3,4,y\n5,6,x\n", True),
+    "no_header": ("1,2.5,x\n3,4,y\n5,6,x\n", False),
+    "categorical": ("a,b,label\nred,2.5,x\nblue,4,y\nred,6,x\n", True),
+}
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark loads as it does without one."""
+
+    @staticmethod
+    def with_and_without(tmp_path, text, name):
+        """The same file written without and with a byte-order mark, under one name."""
+        paths = []
+        for folder, mark in (("plain", ""), ("marked", "\ufeff")):
+            path = tmp_path / folder / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes((mark + text).encode("utf-8"))
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(BOM_TRAIN_FILES))
+    def test_load_csv(self, tmp_path, case):
+        text, has_header = BOM_TRAIN_FILES[case]
+        plain, marked = self.with_and_without(tmp_path, text, "train.csv")
+        want = load_csv(plain, has_header=has_header)
+        assert want.numeric.all() == (case != "categorical")
+        assert_same_dataset(load_csv(marked, has_header=has_header), want)
+
+    @pytest.mark.parametrize("case", sorted(BOM_TRAIN_FILES))
+    def test_load_prediction_rows(self, tmp_path, case):
+        text, has_header = BOM_TRAIN_FILES[case]
+        train = load_csv(write(tmp_path, text, "train.csv"), has_header=has_header)
+        rows = "red,3\nblue,9\n" if case == "categorical" else "1,3\n7,9\n"
+        plain, marked = self.with_and_without(
+            tmp_path, "a,b\n" * has_header + rows, "test.csv")
+        want = load_prediction_rows(train, plain, has_header=has_header)
+        got = load_prediction_rows(train, marked, has_header=has_header)
+        assert got.shape == want.shape == (2, 2)
+        assert got.tobytes() == want.tobytes()
 
 
 LOADTXT = {"delimiter": ",", "comments": None, "dtype": np.float64, "ndmin": 2}

@@ -211,9 +211,19 @@ class TestBestCondition:
         assert cond == Condition(attribute=0, op="le", value=2.5)
         assert oracles.gain_of(toy4, [0, 1, 2, 3], cond) == pytest.approx(1.0)
 
-    def test_constant_attributes_give_none(self):
-        data = dataset_from_arrays([[3.0], [3.0], [3.0]], [0, 1, 0])
-        assert best_condition(data, [0, 1, 2]) is None
+    # One table per route of the search: (rows, classes, attribute kinds).
+    @pytest.mark.parametrize("rows, classes, kinds", [
+        pytest.param(3, 2, "n", id="two_class_per_cut"),
+        pytest.param(TABLE_ROWS, 3, "n", id="three_class_direct"),
+        pytest.param(TABLE_ROWS + 88, 2, "nn", id="numeric_pruned"),
+        pytest.param(TABLE_ROWS + 88, 3, "nc", id="mixed_large"),
+        pytest.param(12, 2, "cc", id="categorical_only"),
+    ])
+    def test_constant_attributes_give_none(self, rows, classes, kinds):
+        # Each attribute holds one value, so no candidate leaves both sides non-empty.
+        data = dataset_from_arrays(np.full((rows, len(kinds)), 3.0), np.arange(rows) % classes,
+                                   kinds)
+        assert best_condition(data, np.arange(rows)) is None
 
     def test_pure_rows_give_none(self, toy4):
         assert best_condition(toy4, [0, 1]) is None
