@@ -139,6 +139,20 @@ def _write_outputs(outputs) -> None:
         raise
 
 
+def _check_out(out: Path) -> None:
+    """Refuse, before the run, an output path that names a directory or lies in a missing one.
+
+    :func:`_write_outputs` checks again when it writes, since the file system
+    can change during the run.
+    """
+    try:
+        if not out.name or out.is_dir():  # "." or "/" name no file beside them
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(out.parent)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror}", EXIT_OUTPUT_ERROR) from exc
+
+
 def _csv(rows):
     """A ``write`` of :func:`_write_outputs` for one CSV table, header row first."""
     return lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows)
@@ -291,9 +305,10 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
-        if not Path(args.out).name:  # "." or "/": no file can be named beside it
-            raise CliError(f"cannot write {Path(args.out)}: {os.strerror(errno.EISDIR)}",
-                           EXIT_OUTPUT_ERROR)
+        out = Path(args.out)
+        _check_out(out)
+        if args.command == "benchmark":
+            _check_out(plot_path(out))
         return args.func(args)
     except CliError as exc:
         print(f"treelab: {exc}", file=sys.stderr)

@@ -58,8 +58,10 @@ class Dataset:
     codes, and keeps no copy of it.  Equal values share a level, so a
     column's zeros all decode as one of ``0.0`` and ``-0.0``, which no
     comparison tells apart.  ``categories[j]`` decodes attribute ``j``
-    (``None``: numeric); ``numeric`` is its read-only mask.  Two datasets
-    compare equal only if they are the same object.
+    (``None``: numeric); ``numeric`` is its read-only mask, and the
+    read-only ``(3, c)`` array ``categorical`` holds each categorical
+    attribute's index, first code and level count, one column each.  Two
+    datasets compare equal only if they are the same object.
     """
 
     name: str
@@ -73,6 +75,7 @@ class Dataset:
     codes: np.ndarray = field(init=False, repr=False)
     levels: np.ndarray = field(init=False, repr=False)
     offsets: tuple[int, ...] = field(init=False, repr=False)
+    categorical: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, values):
         values = np.asarray(values, dtype=np.float64)
@@ -98,8 +101,13 @@ class Dataset:
         numeric = np.array([table is None for table in self.categories])
         codes, levels, offsets = _rank_codes(values, self.label_bits)
         object.__setattr__(self, "offsets", offsets)
+        attributes = np.flatnonzero(~numeric)
+        first = np.take(offsets, attributes)
+        categorical = np.stack([attributes, first, np.take(offsets, attributes + 1) - first]
+                               ).astype(codes.dtype)
         for name, array in (("labels", labels), ("numeric", numeric),
-                            ("codes", codes), ("levels", levels)):
+                            ("codes", codes), ("levels", levels),
+                            ("categorical", categorical)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 

@@ -31,6 +31,28 @@ one attribute at a time on the values themselves.  A caller that has just
 counted the node's class histogram passes it as ``hist``, and the search
 does not count it again.
 
+The route is picked by the node's size and the table's kinds.  A node of
+up to ``TABLE_ROWS`` rows, or of an all-numeric table, sorts blocks of
+consecutive attributes, as above.  A larger node of a table with
+categorical attributes counts them with no sort (:func:`_count_levels`):
+their levels are laid out one after another in code order, each
+attribute's shifted by its first code less the levels before it
+(``Dataset.categorical``), and one class-major ``bincount`` of ``label x
+levels + level`` gives the valid side of every ``value == code``
+candidate.  A level's column holds the same integers as its group in a
+sorted block, and the gains reduce each column on its own, so every gain is
+the same double; levels that hold none or all of the node's rows are
+masked, and the first maximum in column order is the lowest (attribute,
+value) among the highest gains, as the rule asks.  The count matrix has a
+column for each level, present or not, so an attribute with more levels
+than the node has rows is sorted instead, in blocks of such attributes:
+no count has more columns than the cells it counts.  A count takes twice a
+block's attributes: a counted cell holds 12 bytes of scratch (its int32
+index and ``bincount``'s int64 copy), a sorted one at least 17 (its key, its
+code, a group start and an int64 index).  The node's numeric attributes
+form blocks of their own, which are pruned (see below): above
+``TABLE_ROWS`` rows, no block mixes kinds.
+
 Class counts are class-major, a ``(classes, groups)`` array, so every step of
 the gain pass runs over long contiguous rows.  The entropy's sum over classes
 adds whole class rows in a fixed order, the one in which numpy 2.x sums a
@@ -64,12 +86,14 @@ candidate per group instead: a numeric group's valid side reads the running
 count at the group's last cell, and a categorical group subtracts the count
 just before its start, none at the start of a row.  Larger nodes and nodes
 of three or more classes take the direct path, whose one entropy pass per
-block covers both sides of every candidate and the node itself.  A node of
-one class returns ``None`` at once: every side holds that class alone, so
-each gain is ``0.0``, which is not positive.
+block covers both sides of every candidate and the node itself; above
+``TABLE_ROWS`` rows it scores only blocks of categorical attributes with
+more levels than the node has rows.  A node of one class returns ``None``
+at once: every side holds that class alone, so each gain is ``0.0``, which
+is not positive.
 
-A node of more than ``TABLE_ROWS`` rows prunes its all-numeric blocks
-(:class:`_KeptCuts`).  Each attribute row's sorted cells are cut into
+A node of more than ``TABLE_ROWS`` rows prunes its all-numeric blocks, which
+are all of its numeric attributes (:class:`_KeptCuts`).  Each attribute row's sorted cells are cut into
 chunks of ``CHUNK_CELLS``; one ``bincount`` counts the classes per chunk,
 and a running sum over the chunks gives the valid side at every chunk's
 end.  Write ``f(x) = |x| H(x)`` for a class-count vector ``x`` (``f(0) =
@@ -88,11 +112,11 @@ and every chunk end's ``f`` of both sides is read from it, the class terms
 added by :func:`_class_sum`, with no division or ``log2`` per class.
 
 A block's chunks are bounded against a running ``floor``, the best gain
-known in the node: the largest of ``0.0``, the best gain of every earlier
-direct block (one with a categorical attribute), the gains of the chunk
-ends that are real cuts (between unequal neighbours, not at a row's end)
-in this and every earlier pruned block, and the best kept cut scored so
-far.
+known in the node: the largest of ``0.0``, the best gain of the counted
+categorical attributes and of every earlier direct block, the gains of the
+chunk ends that are real cuts (between unequal neighbours, not at a row's
+end) in this and every earlier pruned block, and the best kept cut scored
+so far.
 A chunk's cuts are kept only when its bound reaches ``floor -
 PRUNE_MARGIN``.  The kept cuts of all of a node's pruned blocks, held as
 valid sides, side sizes and the codes on both sides of each cut, are
@@ -112,11 +136,12 @@ so every partial class sum is at most ``g(n)`` and each of its at most
 + 8) eps log2(n)`` bits of its value once divided by ``n``: ~1e-13 for a
 few classes at n = 2**20, ~7e-11 for 10 000 classes, against a margin of
 1e-9.  So every cut of a dropped chunk scores below ``floor``.  When
-``floor`` is a direct block's gain, the dropped cut neither beats nor ties
-that candidate.  When it is a chunk end's gain, that end's chunk was kept: its
-bound is at least its gain, and the floor its block was bounded against
-was this same value; so a kept cut scores at least ``floor`` less
-rounding, and a dropped cut neither exceeds nor ties it.  When it is a
+``floor`` is a counted level's or a direct block's gain, the dropped cut
+neither beats nor ties that candidate.  When it is a chunk end's gain, that
+end's chunk was kept: its bound is at least its gain, and the floor its
+block was bounded against was this same value; so a kept cut scores at
+least ``floor`` less rounding, and a dropped cut neither exceeds nor ties
+it.  When it is a
 scored kept cut's gain, that cut is kept.  So the candidates that the
 rule sees with the highest gain are those of a search that scores every
 cut, and it picks the same one.  Nodes of up to ``TABLE_ROWS`` rows
@@ -136,9 +161,10 @@ import numpy as np
 
 from .dataset import Dataset
 
-# Cells (rows x attributes) sorted together in one block of a split search;
-# bounds all of a search's scratch: the block's keys and its per-group
-# arrays.  A node of more rows takes one attribute per block.  Timed per
+# Cells (rows x attributes) sorted together in one block of a split search,
+# half those counted together by level; bounds all of a search's scratch: the
+# block's keys and its per-group arrays.  A node of more rows takes one
+# attribute per block.  Timed per
 # node-size band against 4 096 and 32 768 cells (ROADMAP item 3).
 BLOCK_CELLS = 16384
 
@@ -299,10 +325,10 @@ def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.nda
     reduced independently.  This is the direct path.  :func:`best_condition`
     scores with it every group of a block with a categorical attribute, and
     every group of an all-numeric block when the node holds three or more
-    classes and at most ``TABLE_ROWS`` rows; in the all-numeric blocks of a
-    node of more rows, it scores only the cuts that :class:`_KeptCuts`
-    keeps.  Nodes of at most ``TABLE_ROWS`` rows that hold two classes take
-    :func:`_table_gains` instead.
+    classes and at most ``TABLE_ROWS`` rows.  In a node of more rows, it
+    scores every level that :func:`_count_levels` counts and only the cuts
+    that :class:`_KeptCuts` keeps.  Nodes of at most ``TABLE_ROWS`` rows
+    that hold two classes take :func:`_table_gains` instead.
     """
     n = parent.sum()
     k = n_valid.size
@@ -443,6 +469,46 @@ class _KeptCuts:
         return best
 
 
+def _cells(codes: np.ndarray, attributes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The codes of ``rows`` on ascending ``attributes``, one row per attribute.
+
+    Consecutive attributes take one slice's ``take``, which is faster.
+    """
+    first = attributes[0]
+    if attributes[-1] - first == attributes.size - 1:
+        return codes[first:first + attributes.size].take(rows, axis=1)
+    return codes[attributes[:, None], rows]
+
+
+def _count_levels(data: Dataset, rows: np.ndarray, labels: np.ndarray, parent: np.ndarray,
+                  spans: np.ndarray, best: tuple) -> tuple:
+    """Score categorical attributes from one class x level count matrix, with no sort.
+
+    ``spans`` holds columns of ``Dataset.categorical``: each attribute's
+    index, first code and level count.  ``labels`` are the rows' labels in
+    the codes' dtype.  The attributes' levels are laid out one after
+    another, in code order, as the columns of a class-major count matrix; a
+    level holding none or all of the rows is no candidate.  Offers the
+    first maximum to ``best``, the node's best candidate, and returns it.
+    """
+    attributes, first_codes, level_counts = spans
+    ends = level_counts.cumsum(dtype=level_counts.dtype)
+    k = int(ends[-1])
+    # A cell's column is its code less its attribute's shift, and its row
+    # of the counts is its label.
+    shift = first_codes - ends + level_counts
+    index = _cells(data.codes, attributes, rows)
+    index -= shift[:, None]
+    index += labels * k
+    counts = np.bincount(index.ravel(), minlength=parent.size * k).reshape(parent.size, k)
+    n_valid = counts.sum(axis=0)
+    gains = _gains(parent, counts, n_valid)
+    gains[(n_valid == 0) | (n_valid == rows.size)] = -np.inf
+    pick = int(np.argmax(gains))
+    code = pick + int(shift[np.searchsorted(ends, pick, side="right")])
+    return max(best, (float(gains[pick]), -code, code))
+
+
 def valid_mask(cond: Condition, column: np.ndarray) -> np.ndarray:
     """Boolean mask of where the condition holds, over one value column."""
     if cond.op == "le":
@@ -505,10 +571,30 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     best = _NO_SPLIT
     kept = None
     width = max(1, BLOCK_CELLS // n)
-    for first in range(0, data.n_attributes, width):
-        # Row j of the block is attribute first + j; each row is sorted on
-        # its own, and runs of equal codes in it form one group.
-        keys = data.codes[first:first + width].take(rows, axis=1)
+    # A block is the width attributes from an index on, or an array of
+    # attributes of one kind.
+    blocks = range(0, data.n_attributes, width)
+    spans = data.categorical
+    if n > TABLE_ROWS and spans.size:
+        # Categorical attributes are counted per level, twice a block's
+        # width at a time, unless they have more levels than the node has
+        # rows; the numeric ones, and those, are sorted.
+        wide = spans[2] > n
+        counted = spans[:, ~wide]
+        for first in range(0, counted.shape[1], 2 * width):
+            chunk = counted[:, first:first + 2 * width]
+            best = _count_levels(data, rows, labels, parent, chunk, best)
+        blocks = [group[first:first + width]
+                  for group in (np.flatnonzero(numeric), spans[0, wide])
+                  for first in range(0, group.size, width)]
+    for block in blocks:
+        # Row j of the block is its attribute j; each row is sorted on its
+        # own, and runs of equal codes in it form one group.
+        if isinstance(block, int):
+            block = slice(block, block + width)
+            keys = data.codes[block].take(rows, axis=1)
+        else:
+            keys = _cells(data.codes, block, rows)
         keys <<= bits
         keys |= labels
         keys.sort(axis=1)
@@ -517,7 +603,8 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         starts = np.empty(flat.size, dtype=bool)
         starts[0] = True
         np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-        all_numeric = numeric[first:first + width].all()
+        kinds = numeric[block]
+        all_numeric = kinds.all()
         if all_numeric and n > TABLE_ROWS:
             if kept is None:
                 kept = _KeptCuts(parent, n)
@@ -553,7 +640,7 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         n_valid = group_end - row_start
         categorical = None
         if not all_numeric:
-            categorical = ~numeric[first + attr]
+            categorical = ~kinds[attr]
             n_valid = np.where(categorical, group_end - group_start, n_valid)
         if two_class:
             valid0 = prefix0[group_end - 1]

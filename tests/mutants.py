@@ -32,11 +32,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SPLITCORE = "src/treelab/splitcore.py"
 SEARCH = "tests/test_splitcore.py::TestBestCondition::"
 PRUNED = "tests/test_splitcore.py::TestPrunedSearch::"
+COUNTED = "tests/test_splitcore.py::TestCountedSearch::"
 # Searches whose equal best gains fall in two scoring passes.
 RULE_TESTS = (
     "tests/test_splitcore.py::TestTwoClassSearch::test_matches_recount_and_per_attribute_search",
     PRUNED + "test_mixed_blocks_match_per_attribute_search",
     PRUNED + "test_numeric_copy_of_a_binary_column_ties_it",
+    COUNTED + "test_categorical_and_numeric_copy_tie",
 )
 # Pruned searches whose best cut a too-high floor drops.
 FLOOR_TESTS = (
@@ -55,15 +57,23 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
-# The three scoring passes of best_condition, each offering its first maximum.
+# Searches that the per-level count of categorical attributes scores.
+COUNT_TESTS = (
+    COUNTED + "test_matches_per_attribute_search",
+    "tests/test_splitcore.py::TestSearchesFromWalks::test_counted_searches_match_per_attribute_search",
+)
+
+# The four scoring passes of best_condition, each offering its first maximum.
 PER_CUT = "best = max(best, (float(gains[pick]), -int(flat[pick]), int(flat[pick + 1])))"
 PER_GROUP = "best = max(best, (float(gains[pick]), -low, high))"
 KEPT = "best = max(best, (float(gains[pick]), -int(low[pick]), int(high[pick])))"
+COUNTED_LEVEL = "return max(best, (float(gains[pick]), -code, code))"
 
 
 def _offer(line: str, rule: str) -> tuple[str, str]:
-    """An edit of one pass's offer: ``rule`` formats its candidate into the new line."""
-    return line, rule.format(line[len("best = max(best, "):-1])
+    """An edit of one pass's offer: ``rule`` formats its candidate into the new call."""
+    head, candidate = line.split("max(best, ")
+    return line, head + rule.format(candidate[:-1])
 
 
 MUTANTS = (
@@ -73,6 +83,7 @@ MUTANTS = (
          (PER_CUT, PER_CUT.replace("-int(flat[pick])", "int(flat[pick])")),
          (PER_GROUP, PER_GROUP.replace("-low", "low")),
          (KEPT, KEPT.replace("-int(low[pick])", "int(low[pick])")),
+         (COUNTED_LEVEL, COUNTED_LEVEL.replace("-code", "code")),
          ("low, high = -best[1], best[2]", "low, high = best[1], best[2]")),
         RULE_TESTS,
     ),
@@ -80,14 +91,14 @@ MUTANTS = (
         "equal gains go to the later pass", SPLITCORE,
         # The least positive double as the start, so that gains of 0.0 still lose.
         (("_NO_SPLIT = (0.0, 1, 0)", "_NO_SPLIT = (5e-324, 1, 0)"),
-         *(_offer(line, "best = max({}, best, key=lambda c: c[0])")
-           for line in (PER_CUT, PER_GROUP, KEPT))),
+         *(_offer(line, "max({}, best, key=lambda c: c[0])")
+           for line in (PER_CUT, PER_GROUP, KEPT, COUNTED_LEVEL))),
         RULE_TESTS,
     ),
     Mutant(
         "equal-gain clause dropped", SPLITCORE,
-        tuple(_offer(line, "best = max(best, {}, key=lambda c: c[0])")
-              for line in (PER_CUT, PER_GROUP, KEPT)),
+        tuple(_offer(line, "max(best, {}, key=lambda c: c[0])")
+              for line in (PER_CUT, PER_GROUP, KEPT, COUNTED_LEVEL)),
         RULE_TESTS,
     ),
     Mutant(
@@ -120,6 +131,22 @@ MUTANTS = (
         "block-end code read unclipped", SPLITCORE,
         (('int(flat.take(group_end[pick], mode="clip"))', "int(flat[group_end[pick]])"),),
         (SEARCH + "test_constant_attributes_give_none",),
+    ),
+    Mutant(
+        "level shift off by one", SPLITCORE,
+        (("shift = first_codes - ends + level_counts",
+          "shift = first_codes - ends + level_counts - 1"),),
+        COUNT_TESTS,
+    ),
+    Mutant(
+        "count index drops the label", SPLITCORE,
+        (("index += labels * k", "index += 0"),),
+        COUNT_TESTS,
+    ),
+    Mutant(
+        "levels counted past the node's rows", SPLITCORE,
+        (("wide = spans[2] > n", "wide = spans[2] < 0"),),
+        (SEARCH + "test_mixed_search_scratch_is_bounded",),
     ),
     Mutant(
         "partition reads attribute 0's codes", SPLITCORE,

@@ -437,14 +437,14 @@ class TestLoaderErrors:
 class TestOutOfMemory:
     @pytest.mark.parametrize("command", ["predict", "trace"])
     def test_exit_15_without_traceback(self, tmp_path, command):
-        # 8 000 rows of 4 000 classes: the root search asks for ~300 MiB arrays,
+        # 8 000 rows of 4 000 classes: the root search asks for ~490 MiB arrays,
         # more than a child capped at 1 GiB of address space can map.  The
-        # categorical column keeps the root's block on the per-group path;
-        # an all-numeric root of this size is pruned and fits.
+        # categorical column holds one level per row, so the root counts
+        # 8 000 levels per class; with a few levels, or none, the root fits.
         rng = np.random.default_rng(0)
         train = tmp_path / "many.csv"
         train.write_text("a,b,label\n" + "".join(
-            f"{a:.6f},v{i % 7},c{i // 2}\n" for i, a in enumerate(rng.normal(size=8000))))
+            f"{a:.6f},v{i},c{i // 2}\n" for i, a in enumerate(rng.normal(size=8000))))
         test = tmp_path / "test.csv"
         test.write_text("a,b\n0.1,v0\n")
         out = tmp_path / "out.csv"
@@ -605,6 +605,38 @@ def test_unwritable_out_message(command, out, reason, toy_csv, train_test_csvs, 
     before = sorted(tmp_path.rglob("*"))
     assert main([command, *inputs, "--bootstraps", "1", "--out", out]) == EXIT_OUTPUT_ERROR
     assert capsys.readouterr().err == f"treelab: cannot write {out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, directory, refused, reason", [
+    pytest.param("benchmark", "out.csv", "out.csv", "Is a directory", id="benchmark_out_dir"),
+    pytest.param("benchmark", "out_plot.csv", "out_plot.csv", "Is a directory",
+                 id="benchmark_plot_dir"),
+    pytest.param("benchmark", None, "nodir/out.csv", "No such file or directory",
+                 id="benchmark_missing_parent"),
+    pytest.param("predict", "out.csv", "out.csv", "Is a directory", id="predict_out_dir"),
+    pytest.param("predict", None, "nodir/out.csv", "No such file or directory",
+                 id="predict_missing_parent"),
+])
+def test_unwritable_out_refused_before_the_fit(command, directory, refused, reason, toy_csv,
+                                               train_test_csvs, tmp_path, capsys, monkeypatch):
+    # An output that cannot be written is refused before any fit runs, so a
+    # long run is not lost at its end.
+    def fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli, "run_cv", fit)
+    for name, (tag, _) in cli.ALGORITHMS.items():
+        monkeypatch.setitem(cli.ALGORITHMS, name, (tag, fit))
+    monkeypatch.chdir(tmp_path)
+    if directory is not None:
+        Path(directory).mkdir()
+    inputs = (["--dataset", str(toy_csv), "--folds", "2"] if command == "benchmark"
+              else ["--train", str(train_test_csvs[0]), "--test", str(train_test_csvs[1])])
+    out = "nodir/out.csv" if directory is None else "out.csv"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *inputs, "--bootstraps", "1", "--out", out]) == EXIT_OUTPUT_ERROR
+    assert capsys.readouterr().err == f"treelab: cannot write {refused}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -623,6 +623,18 @@ class TestRankCodes:
             assert data.codes[j].min() >= offsets[j] and data.codes[j].max() < offsets[j + 1]
             assert np.array_equal(data.levels[offsets[j]:offsets[j + 1]], np.unique(values[:, j]))
 
+    @pytest.mark.parametrize("kinds", ["nnn", "c", "cnnc", "ncncn"])
+    def test_categorical_holds_each_categorical_columns_code_range(self, kinds):
+        rng = np.random.default_rng(len(kinds))
+        values = rng.integers(0, 6, size=(40, len(kinds)))
+        data = dataset_from_arrays(values, rng.integers(0, 3, size=40), kinds=kinds)
+        attributes, first, counts = data.categorical
+        assert data.categorical.dtype == data.codes.dtype and not data.categorical.flags.writeable
+        assert attributes.tolist() == [j for j, kind in enumerate(kinds) if kind == "c"]
+        for j, start, count in zip(attributes.tolist(), first.tolist(), counts.tolist()):
+            assert (start, start + count) == data.offsets[j:j + 2]
+            assert count == np.unique(values[:, j]).size
+
     def test_equality_is_identity(self):
         # Two tables built from one seed hold equal arrays but are two
         # datasets; == neither compares arrays nor raises, and hash works.

@@ -425,6 +425,35 @@ class TestBestCondition:
         assert peak < (12 + 2 * classes) * (BLOCK_CELLS + n) * 8
 
 
+    @pytest.mark.parametrize("classes, total, n, kinds", [
+        pytest.param(300, 3000, 3000, "ncncncnc", id="many_classes"),
+        pytest.param(10, 60_000, 600, "nncc", id="level_per_table_row"),
+    ])
+    def test_mixed_search_scratch_is_bounded(self, classes, total, n, kinds):
+        # A node of more than TABLE_ROWS rows with categorical attributes:
+        # their level counts, the pruned blocks' per-chunk arrays and the
+        # kept cuts.  The second table's last attribute has one level per
+        # table row, 100 times the node's rows, and is sorted instead: it
+        # read 5.7 times the base, and counting its levels 279 times.  The
+        # first read 215 times, scoring every group of its mixed blocks 1 139.
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, classes, size=total)
+        columns = [rng.normal(size=total) + 0.1 * labels if kind == "n"
+                   else np.where(rng.random(total) < 0.3, labels % 8, rng.integers(0, 8, size=total))
+                   for kind in kinds]
+        columns[-1] = rng.permutation(total) if n < total else columns[-1]
+        data = dataset_from_arrays(np.column_stack(columns), labels, kinds=kinds,
+                                   class_names=tuple(f"k{i}" for i in range(classes)))
+        rows = np.arange(n)
+        tracemalloc.start()
+        try:
+            best_condition(data, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (12 + 2 * classes) * (BLOCK_CELLS + n) * 8
+
+
 class TestEntropyTable:
     """Two-class nodes of up to TABLE_ROWS rows read side entropies from a table."""
 
@@ -709,8 +738,8 @@ def large_mixed_tables(draw):
     """A table of more than TABLE_ROWS rows mixing both attribute kinds, and its rows.
 
     The rows hold 2-10 classes.  Attributes come in blocks of the search's
-    width, each all numeric or mixed, so pruned blocks compete with direct
-    ones.  A binary categorical column that tracks the labels has a numeric
+    width, each all numeric or mixed, so pruned blocks compete with counted
+    categorical attributes.  A binary categorical column that tracks the labels has a numeric
     copy of its codes before it or after it: the copy's one cut and the
     column's ``== 0`` candidate have the same valid side, so their gains tie
     exactly.  Tight tables start with a run of class 0 that fills whole
@@ -778,10 +807,10 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("copy_first", [True, False])
     def test_numeric_copy_of_a_binary_column_ties_it(self, copy_first):
-        # A 1 500-row, 4-class node searches attributes 0-9 and 10-19 in two
-        # blocks: one all numeric, which is pruned, and one mixed.  The
-        # binary column and its numeric copy win with the same gain, so the
-        # lower attribute takes the split.
+        # A 1 500-row, 4-class node counts its two categorical attributes
+        # and prunes its numeric ones, in blocks of 10.  The binary column
+        # and its numeric copy win with the same gain, so the lower
+        # attribute takes the split.
         rng = np.random.default_rng(1500)
         n = 1500
         labels = rng.integers(0, 4, size=n)
@@ -803,11 +832,12 @@ class TestPrunedSearch:
         assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
 
     def test_numeric_cut_just_above_an_earlier_categorical_wins(self):
-        # Attributes 0-4 form a mixed block, 5-9 an all-numeric one.  The
-        # categorical attribute 1 isolates 199 rows of class 0; the order
-        # column 7 isolates 200, for less than 1e-3 bits more, at the end of
-        # a run of whole pure chunks, whose bound equals its gain.  A floor
-        # raised by the slightest slack above the categorical gain drops it.
+        # The categorical attributes 1 and 3 are counted before the numeric
+        # blocks are pruned.  Attribute 1 isolates 199 rows of class 0; the
+        # order column 7 isolates 200, for less than 1e-3 bits more, at the
+        # end of a run of whole pure chunks, whose bound equals its gain.  A
+        # floor raised by the slightest slack above the categorical gain
+        # drops it.
         rng = np.random.default_rng(3000)
         n = 3000
         labels = np.where(rng.random(n) < 0.25, 0, rng.integers(1, 4, size=n))
@@ -928,6 +958,93 @@ class TestPrunedSearch:
         assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
 
 
+@st.composite
+def large_categorical_tables(draw):
+    """A table with categorical attributes, and a node of more than TABLE_ROWS of its rows.
+
+    The node holds 1, 2, 3, 8 or 300 classes and is the table's first ``n``
+    rows, or a draw from them; the table may hold ``n // 2`` rows more.
+    Categorical attributes come in any order among numeric ones, so their
+    level ranges are not contiguous.  A categorical attribute has 2-12
+    levels, or 40 of which the node holds only the even ones, or one that
+    holds every row of the node (the other rows hold others), or one level
+    per table row: more levels than the node has rows when the table is
+    longer.  A binary column that tracks the labels comes as a categorical
+    attribute and a numeric copy, in either order: its ``== 0`` and its
+    ``<= 0.5`` candidates have the same valid side, so their gains tie.
+    """
+    classes = draw(st.sampled_from([1, 2, 3, 8, 300]))
+    n = draw(st.integers(TABLE_ROWS + 1, 2000))
+    total = n + draw(st.sampled_from([0, n // 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, classes, size=total)
+    inside = np.arange(total) < n
+    kinds = draw(st.lists(st.sampled_from(["numeric", "levels", "even", "one", "per_row"]),
+                          min_size=1, max_size=8))
+    if draw(st.booleans()):
+        pair = ["binary", "copy"] if draw(st.booleans()) else ["copy", "binary"]
+        at = draw(st.integers(0, len(kinds)))
+        kinds[at:at] = pair
+    binary = np.where(rng.random(total) < 0.1, rng.integers(0, 2, size=total),
+                      labels < max(classes // 2, 1))
+    columns = []
+    for kind in kinds:
+        if kind == "numeric":
+            columns.append(np.round(rng.normal(size=total) + 0.2 * labels, int(rng.integers(0, 3))))
+        elif kind == "levels":
+            levels = int(rng.integers(2, 13))
+            columns.append(np.where(rng.random(total) < 0.3, labels % levels,
+                                    rng.integers(0, levels, size=total)))
+        elif kind == "even":
+            column = rng.integers(0, 40, size=total)
+            columns.append(np.where(inside, column - column % 2, column))
+        elif kind == "one":
+            columns.append(np.where(inside, 0, rng.integers(1, 5, size=total)))
+        elif kind == "per_row":
+            columns.append(rng.permutation(total))
+        else:
+            columns.append(binary)
+    data = dataset_from_arrays(
+        np.column_stack(columns), labels,
+        kinds="".join("n" if kind in ("numeric", "copy") else "c" for kind in kinds),
+        class_names=tuple(f"k{c}" for c in range(max(classes, 2))))
+    rows = np.arange(n) if draw(st.booleans()) else rng.integers(0, n, size=n)
+    return data, rows
+
+
+class TestCountedSearch:
+    """Nodes above TABLE_ROWS rows count their categorical attributes per level."""
+
+    @given(table=large_categorical_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_attribute_search(self, table):
+        data, rows = table
+        want = oracles.per_attribute_best_condition(data, rows)
+        assert repr(best_condition(data, rows)) == repr(want)
+
+    @pytest.mark.parametrize("categorical_first", [True, False])
+    def test_categorical_and_numeric_copy_tie(self, categorical_first):
+        # A 2 000-row, 8-class node: the binary column is counted, its
+        # numeric copy pruned, and both win with the same gain, so the lower
+        # attribute takes the split.
+        rng = np.random.default_rng(2000)
+        n = 2000
+        labels = rng.integers(0, 8, size=n)
+        binary = np.where(rng.random(n) < 0.05, rng.integers(0, 2, size=n), labels < 4)
+        values = np.round(rng.normal(size=(n, 6)) + 0.1 * labels[:, None], 2)
+        kinds = ["n", "c", "n", "n", "c", "n"]
+        cat, twin = (1, 3) if categorical_first else (4, 2)
+        values[:, [1, 4]] = rng.integers(0, 6, size=(n, 2))
+        values[:, cat], values[:, twin] = binary, binary
+        data = dataset_from_arrays(values, labels, kinds="".join(kinds))
+        rows = np.arange(n)
+        got = best_condition(data, rows)
+        want = (Condition(attribute=cat, op="eq", value=0.0) if categorical_first
+                else Condition(attribute=twin, op="le", value=0.5))
+        assert got == want
+        assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
+
+
 class TestSearchesFromWalks:
     """The nested row subsets of real walks, each search checked against the oracle."""
 
@@ -966,6 +1083,16 @@ class TestSearchesFromWalks:
         # TABLE_ROWS rows, so their all-numeric blocks are pruned.
         rng = np.random.default_rng(1500)
         tables = [gaussian_dataset(rng, 1500, 4, 3, spread=0.6)]
+        searches = self._searches(fit, tables, SplitParams(min_count=2, max_depth=5), 600,
+                                  monkeypatch)
+        assert sum(rows.size > TABLE_ROWS for _, rows, _ in searches) >= 3
+
+    @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
+    def test_counted_searches_match_per_attribute_search(self, fit, monkeypatch):
+        # The top nodes of a 5-class table of 1 500 rows with 3 numeric and
+        # 4 categorical attributes count their categorical attributes.
+        rng = np.random.default_rng(1501)
+        tables = [random_dataset(rng, 1500, 3, 4, 5, value_grid=40)]
         searches = self._searches(fit, tables, SplitParams(min_count=2, max_depth=5), 600,
                                   monkeypatch)
         assert sum(rows.size > TABLE_ROWS for _, rows, _ in searches) >= 3
