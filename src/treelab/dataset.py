@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
@@ -122,6 +123,17 @@ class Dataset:
     @property
     def class_count(self) -> int:
         return len(self.class_names)
+
+    @cached_property
+    def chunk_tables(self) -> tuple:
+        """The pruned split search's arrays for up to ``n_rows`` rows, built on first use.
+
+        See :func:`treelab.splitcore.chunk_tables`; a search slices them to
+        its node's size.
+        """
+        from .splitcore import chunk_tables
+
+        return chunk_tables(self.n_rows)
 
     @property
     def label_bits(self) -> int:

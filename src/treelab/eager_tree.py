@@ -5,9 +5,11 @@ exceeds the maximum, the subset is smaller than the minimum count, the
 subset is pure, or no candidate condition has positive gain; otherwise it
 splits on the best condition.  The walk decides both from the node's own
 class histogram: pure means one nonzero count, and a leaf's label is the
-majority class, ties going to the lowest class index.  :func:`walk` visits
-the nodes depth first, invalid side first, from an explicit stack, so the
-depth of a tree is not bounded by Python's recursion limit.
+majority class, ties going to the lowest class index.  :func:`walk` grows
+a tree one depth at a time, with no recursion, so the depth of a tree is
+not bounded by Python's recursion limit; the small nodes of a depth share
+one batched split search.  It reports the tree's nodes in preorder,
+invalid side first, once the tree is done.
 
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
 eager one (``EAGER``) expands every child, so its model words follow from
@@ -32,8 +34,11 @@ from .metrics import RunMetrics, model_word_count
 from .rng import mix_seed
 from .splitcore import (
     SplitParams,
+    SEGMENT_MIN,
+    SEGMENT_ROWS,
     Condition,
     best_condition,
+    best_conditions,
     class_histogram,
     partition,
     valid_mask,
@@ -84,61 +89,94 @@ def walk(
     on_visit=None,
     bootstrap_index: int = 0,
 ) -> None:
-    """Visit the nodes of one tree that ``policy`` expands, in preorder, from depth 0.
+    """Visit the nodes of one tree that ``policy`` expands, one depth at a time.
 
-    The stack holds ``(rows, positions, path, held)`` for each node still to
-    visit, where ``held`` is the stack words its ancestors hold; a node's
-    depth is ``len(path)``.  Every visited node counts as explored, adds its
-    rows to ``held`` and hands that on to its children, so the metrics peak
-    is the largest sum of subset sizes along a root-to-node path.  A per-row
-    walk holds the bootstrap from the root on and adds nothing per node: its
-    subsets reuse those words.
+    ``level`` holds ``(rows, positions, path, held)`` for each node of the
+    current depth, where ``held`` is the stack words the node and its
+    ancestors hold; a node's depth is ``len(path)``.  Every visited node
+    counts as explored and hands ``held`` on to its children, each adding
+    its rows, so the metrics peak is the largest sum of subset sizes along
+    a root-to-node path.  A per-row walk holds the bootstrap from the root
+    on and adds nothing per node: its subsets reuse those words.
+
+    The nodes of a depth that need a split search are searched one at a
+    time (:func:`best_condition`), unless at least ``SEGMENT_MIN`` of them
+    hold at most ``SEGMENT_ROWS`` rows: those are searched together
+    (:func:`best_conditions`), with the same results.  A per-row walk holds
+    one node per depth, so it never batches.
 
     ``positions`` index rows of ``test_matrix``: they are split by the same
     condition as the training rows, and a leaf adds ``share`` to
-    ``votes[positions, label]``.  Under ``expand_all`` the walk also pushes
-    the children no test row reaches.  Each visit is reported to
-    ``on_visit`` as a :class:`TraceEvent`, the only record of the node.
+    ``votes[positions, label]``.  Under ``expand_all`` the walk also keeps
+    the children no test row reaches.  Each visit becomes a
+    :class:`TraceEvent`, the only record of the node; when the tree is
+    done, its events are passed to ``on_visit`` in preorder, invalid side
+    first.
     """
     expand_all = policy.expand_all
     per_row = policy.per_row
     test_row = int(positions[0]) if per_row else None
-    stack: list = [(rows, positions, (), rows.size if per_row else 0)]
-    while stack:
-        rows, positions, path, held = stack.pop()
-        metrics.nodes_explored += 1
-        if not per_row:
-            held += rows.size
-        if held > metrics.peak_stack_words:
-            metrics.peak_stack_words = held
-        hist = class_histogram(data, rows)
-        pure = np.count_nonzero(hist) == 1
-        cond = None
-        if not (len(path) > params.max_depth or rows.size < params.min_count or pure):
-            cond = best_condition(data, rows, hist)
-        label = int(hist.argmax()) if cond is None else None
-        if on_visit is not None:
-            on_visit(
-                TraceEvent(
-                    bootstrap=bootstrap_index,
-                    path=path,
-                    train_count=int(rows.size),
-                    test_count=None if expand_all or per_row else int(positions.size),
-                    condition=cond,
-                    label=label,
-                    test_row=test_row,
+    events = []
+    level: list = [(rows, positions, (), rows.size)]
+    while level:
+        hists, conds, small = [], [], []
+        # The small nodes of a depth wait for one batch search if there can
+        # be enough of them.
+        wait = len(level) >= SEGMENT_MIN
+        for rows, positions, path, held in level:
+            metrics.nodes_explored += 1
+            if held > metrics.peak_stack_words:
+                metrics.peak_stack_words = held
+            hist = class_histogram(data, rows)
+            hists.append(hist)
+            cond = None
+            pure = np.count_nonzero(hist) == 1
+            if not (len(path) > params.max_depth or rows.size < params.min_count or pure):
+                if wait and rows.size <= SEGMENT_ROWS:
+                    small.append(len(conds))
+                else:
+                    cond = best_condition(data, rows, hist)
+            conds.append(cond)
+        if len(small) >= SEGMENT_MIN:
+            found = best_conditions(data, [level[i][0] for i in small], [hists[i] for i in small])
+            for i, cond in zip(small, found):
+                conds[i] = cond
+        else:
+            for i in small:
+                conds[i] = best_condition(data, level[i][0], hists[i])
+        next_level = []
+        for (rows, positions, path, held), hist, cond in zip(level, hists, conds):
+            label = int(hist.argmax()) if cond is None else None
+            if on_visit is not None:
+                events.append(
+                    TraceEvent(
+                        bootstrap=bootstrap_index,
+                        path=path,
+                        train_count=int(rows.size),
+                        test_count=None if expand_all or per_row else int(positions.size),
+                        condition=cond,
+                        label=label,
+                        test_row=test_row,
+                    )
                 )
-            )
-        if cond is None:
-            votes[positions, label] += share
-            continue
-        invalid_rows, valid_rows = partition(cond, data, rows)
-        mask = valid_mask(cond, test_matrix[positions, cond.attribute])
-        # Pushed valid side first, so the invalid subtree is visited first.
-        if expand_all or mask.any():
-            stack.append((valid_rows, positions[mask], path + (1,), held))
-        if expand_all or not mask.all():
-            stack.append((invalid_rows, positions[~mask], path + (0,), held))
+            if cond is None:
+                votes[positions, label] += share
+                continue
+            invalid_rows, valid_rows = partition(cond, data, rows)
+            mask = valid_mask(cond, test_matrix[positions, cond.attribute])
+            if expand_all or not mask.all():
+                next_level.append((invalid_rows, positions[~mask], path + (0,),
+                                   held if per_row else held + invalid_rows.size))
+            if expand_all or mask.any():
+                next_level.append((valid_rows, positions[mask], path + (1,),
+                                   held if per_row else held + valid_rows.size))
+        level = next_level
+    if on_visit is not None:
+        # A path sorts before its extensions, and the invalid side (0)
+        # before the valid one: sorted paths are the preorder.
+        events.sort(key=lambda event: event.path)
+        for event in events:
+            on_visit(event)
 
 
 def build_tree(

@@ -1,7 +1,8 @@
 """Split selection shared by the eager, lazy, and batched tree algorithms.
 
-All three algorithms call the same :func:`best_condition`, so equal row
-subsets always produce identical splits.  Candidates are binary tests:
+All three algorithms call the same :func:`best_condition`, or its batch
+form for many small nodes, :func:`best_conditions`, so equal row subsets
+always produce identical splits.  Candidates are binary tests:
 ``value <= threshold`` on numeric attributes (thresholds at midpoints of
 consecutive distinct values) and ``value == code`` on categorical ones (one
 candidate per code present).  The score is Shannon information gain in bits.
@@ -107,8 +108,9 @@ valid side at the end of the chunk before (none at a row's start) and
 v_start) >= f(v_start)`` and likewise ``f(p - v) >= f(p - v_end)``: no cut
 of the chunk gains more than its bound ``H(p) - (f(v_start) + f(p -
 v_end)) / n``.  With ``g(c) = c log2 c`` (``g(0) = 0``), ``f(x) = g(|x|) -
-sum_k g(x_k)``: a search builds ``g`` for ``c = 0..n`` in one ``log2`` pass,
-and every chunk end's ``f`` of both sides is read from it, the class terms
+sum_k g(x_k)``: a search slices ``g`` for ``c = 0..n`` from the one built,
+in one ``log2`` pass, for the table's rows (``Dataset.chunk_tables``), and
+every chunk end's ``f`` of both sides is read from it, the class terms
 added by :func:`_class_sum`, with no division or ``log2`` per class.
 
 A block's chunks are bounded against a running ``floor``, the best gain
@@ -148,6 +150,26 @@ cut, and it picks the same one.  Nodes of up to ``TABLE_ROWS`` rows
 are not pruned: a chunk's slack is about ``CHUNK_CELLS * log2(n) / n``
 bits, so such searches kept 5-67% of their cuts, and the chunk pass cost
 more than the pruning saved.
+
+A search of at most ``SEGMENT_ROWS`` rows costs a few dozen numpy calls
+whatever its size, so a walk scores many such nodes of one depth in one
+batch search (:func:`best_conditions`).  Its two-class nodes take the table
+path and the others the direct path, in batches of consecutive nodes of at
+most ``BLOCK_CELLS`` rows x attributes.  Each node's index goes above the
+bits of its keys, and one sort of the batch's keys orders them by node,
+then attribute, then value: every (node, attribute) row sorts on its own,
+as a block's row does in :func:`best_condition`.  The running counts, of the
+lower class or of every class, restart at each row's first cell, and the
+candidates of every node are scored at once by :func:`_table_gains` or
+:func:`_gains`, with the node's size, class counts and entropy as per-group
+operands: the formulas are elementwise, so each gain is the same double as
+in the node's own search.  A node's groups are consecutive and ascend by
+code, so its first maximum is its highest gain at its lowest code; it is
+offered to the node's best, which starts at ``_NO_SPLIT``, as every pass
+offers its own, and the ``Condition`` is built from the winner as above.
+The direct path's running counts hold a class row per group, and its gains
+are evaluated ``BLOCK_CELLS`` counts at a time, so a batch's scratch stays
+within twice its classes per cell.
 """
 
 from __future__ import annotations
@@ -184,6 +206,20 @@ CHUNK_CELLS = 8
 # Slack below the best gain under which a chunk is dropped: far above the
 # rounding of gains and bounds (module docstring).
 PRUNE_MARGIN = 1e-9
+
+# A depth of a walk whose searches include at least SEGMENT_MIN nodes of at
+# most SEGMENT_ROWS rows scores those nodes in one batch search
+# (best_conditions); SEGMENT_ROWS must not exceed TABLE_ROWS.  Chosen by
+# replaying every search of the nine seed-5 workload commands, grouped by
+# (tree, depth), against searching each node alone.  At SEGMENT_MIN = 8,
+# 64 rows took 0.58x the search time on trace-dt, 0.79x on trace-batched and
+# 0.88-0.90x on predict-dt/-batched; 32 rows took 0.65x, 0.87x and
+# 0.91-0.93x; 128 rows 0.53x and 0.74x on the traces but 0.91-0.93x on the
+# predictions.
+SEGMENT_ROWS = 64
+# At 64 rows, batches of 2 or 4 nodes took 1.00-1.08x on cv-dt/-batched,
+# whose depths hold few small nodes; 16 took 0.61x on trace-dt, 32 0.67x.
+SEGMENT_MIN = 8
 
 # The best of a node before any candidate is scored: (gain, -low code, high
 # code).  No code is negative, so a candidate of gain 0.0 compares below it.
@@ -315,7 +351,7 @@ def _table_gains(parent_entropy, n, parent0, valid0: np.ndarray,
     return np.subtract(parent_entropy, gains, out=gains)
 
 
-def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
+def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray, node=0) -> np.ndarray:
     """Information gain of each column of a ``(classes, k)`` valid-side matrix.
 
     ``parent`` is the class histogram of all rows and ``n_valid`` the column
@@ -329,15 +365,23 @@ def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray) -> np.nda
     scores every level that :func:`_count_levels` counts and only the cuts
     that :class:`_KeptCuts` keeps.  Nodes of at most ``TABLE_ROWS`` rows
     that hold two classes take :func:`_table_gains` instead.
+
+    A batch search (:func:`best_conditions`) passes a ``(classes, nodes)``
+    matrix of histograms as ``parent`` and each column's node as ``node``:
+    the node's size, histogram and entropy are then per-column operands of
+    the same elementwise formulas, so each gain is the same double.
     """
-    n = parent.sum()
+    parents = parent.reshape(parent.shape[0], -1)
+    totals = parents.sum(axis=0)
+    n = totals[node]
     k = n_valid.size
-    sides = np.empty((parent.size, 2 * k + 1))
-    np.subtract(parent[:, None], valid, out=sides[:, :k])
-    sides[:, k:-1] = valid
-    sides[:, -1] = parent
-    entropies = _entropies(sides, np.concatenate([n - n_valid, n_valid, [n]]))
-    return entropies[-1] - (((n - n_valid) / n) * entropies[:k] + (n_valid / n) * entropies[k:-1])
+    sides = np.empty((parents.shape[0], 2 * k + totals.size))
+    np.subtract(parents[:, node].reshape(parents.shape[0], -1), valid, out=sides[:, :k])
+    sides[:, k:2 * k] = valid
+    sides[:, 2 * k:] = parents
+    entropies = _entropies(sides, np.concatenate([n - n_valid, n_valid, totals]))
+    return entropies[2 * k:][node] - (((n - n_valid) / n) * entropies[:k]
+                                      + (n_valid / n) * entropies[k:2 * k])
 
 
 def _xlog2x(n: int) -> np.ndarray:
@@ -377,6 +421,22 @@ def _chunk_bounds(g: np.ndarray, parent: np.ndarray, ends: np.ndarray,
     return bounds, reached
 
 
+def chunk_tables(n: int) -> tuple:
+    """The arrays that :class:`_KeptCuts` slices to a node's size, for up to ``n`` rows.
+
+    ``g(c) = c log2 c`` for ``c = 0..n`` (:func:`_xlog2x`), each cell's column
+    in its row's chunk counts and the valid side's size at each column,
+    ``CHUNK_CELLS`` more per column.  ``Dataset.chunk_tables`` holds them for
+    the table's row count, built on first use; a slice of each holds the
+    same values as the arrays built for fewer rows.
+    """
+    tables = (_xlog2x(n), np.arange(n) // CHUNK_CELLS + 1,
+              np.arange(-(-n // CHUNK_CELLS) + 1) * CHUNK_CELLS)
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
 class _KeptCuts:
     """The cuts of a node's all-numeric blocks that can win, scored together.
 
@@ -389,13 +449,15 @@ class _KeptCuts:
     the first maximum of each scoring they run (module docstring).
     """
 
-    def __init__(self, parent: np.ndarray, n: int):
+    def __init__(self, parent: np.ndarray, n: int, tables: tuple):
         self.parent = parent
-        self.g = _xlog2x(n)
-        # Each cell's column in its row's chunk counts, after an empty column
-        # 0, and the valid side's size at each column.
-        self.column = np.arange(n) // CHUNK_CELLS + 1
-        self.sizes = np.minimum(np.arange(-(-n // CHUNK_CELLS) + 1) * CHUNK_CELLS, n)
+        # Sliced to n from ``tables`` (:func:`chunk_tables`): c log2 c, each
+        # cell's column in its row's chunk counts, after an empty column 0,
+        # and the valid side's size at each column.
+        g, column, sizes = tables
+        self.g = g[:n + 1]
+        self.column = column[:n]
+        self.sizes = np.minimum(sizes[:-(-n // CHUNK_CELLS) + 1], n)
         self.floor = 0.0
         self.kept = []
         self.pending = 0
@@ -607,7 +669,8 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         all_numeric = kinds.all()
         if all_numeric and n > TABLE_ROWS:
             if kept is None:
-                kept = _KeptCuts(parent, n)
+                kept = _KeptCuts(parent, n, data.chunk_tables if n <= data.n_rows
+                                 else chunk_tables(n))
             best = kept.add(keys, bits, starts, flat, best)
             continue
         if all_numeric and two_class:
@@ -680,13 +743,163 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         best = max(best, (float(gains[pick]), -low, high))
     if kept is not None:
         best = kept.score(best)
+    return _condition(data, best)
+
+
+def _condition(data: Dataset, best: tuple) -> Condition | None:
+    """The condition of a node's best candidate, or ``None`` if it is ``_NO_SPLIT``."""
     if best is _NO_SPLIT:
         return None
     low, high = -best[1], best[2]
     attribute = bisect_right(data.offsets, low) - 1
-    if not numeric[attribute]:
+    if not data.numeric[attribute]:
         return Condition(attribute=attribute, op="eq", value=float(data.levels[low]))
     return _threshold(data, attribute, low, high)
+
+
+def best_conditions(data: Dataset, nodes: list, hists: list) -> list:
+    """:func:`best_condition` of each node, for many small nodes searched together.
+
+    ``nodes`` holds each node's rows, at most ``TABLE_ROWS`` of them (a walk
+    passes nodes of at most ``SEGMENT_ROWS``), and ``hists`` its class
+    histogram.  The nodes of two classes and those of more are searched
+    apart, on the table path and the direct path, in batches of consecutive
+    nodes of at most ``BLOCK_CELLS`` rows x attributes
+    (:func:`_segment_winners`); a node of one class is ``None``.  Each batch
+    offers every node its first maximum, as every scoring pass of a search
+    does, and the condition is built from the winner (module docstring).
+    """
+    sizes = np.array([rows.size for rows in nodes])
+    parents = np.stack(hists, axis=1)
+    present = np.count_nonzero(parents, axis=0)
+    width = min(data.n_attributes, max(1, BLOCK_CELLS // int(sizes.max())))
+    capacity = BLOCK_CELLS // width
+    blocks = [np.arange(first, min(first + width, data.n_attributes))
+              for first in range(0, data.n_attributes, width)]
+    best = [_NO_SPLIT] * len(nodes)
+    for two_class, members in ((True, present == 2), (False, present > 2)):
+        members = np.flatnonzero(members)
+        # Consecutive members up to capacity rows in all.
+        ends = np.cumsum(sizes[members])
+        first = 0
+        while first < members.size:
+            last = int(np.searchsorted(ends, ends[first] - sizes[members[first]] + capacity,
+                                       side="right"))
+            batch = members[first:last]
+            first = last
+            rows = [nodes[i] for i in batch]
+            for block in blocks:
+                gains, low, high = _segment_winners(data, rows, sizes[batch], parents[:, batch],
+                                                    two_class, block)
+                for i, gain, code, next_code in zip(batch.tolist(), gains.tolist(),
+                                                    low.tolist(), high.tolist()):
+                    best[i] = max(best[i], (gain, -code, next_code))
+    return [_condition(data, candidate) for candidate in best]
+
+
+def _segment_winners(data: Dataset, nodes: list, sizes: np.ndarray, parents: np.ndarray,
+                     two_class: bool, block: np.ndarray) -> tuple:
+    """Each node's first maximum on the attributes of ``block``: gains, low and high codes.
+
+    ``parents`` holds the nodes' class histograms, one column each, and
+    every node holds two classes (``two_class``) or every node more.  Each
+    node's index goes above the bits of its keys, so one sort of all the
+    batch's keys orders them by node, then attribute, then value: every
+    (node, attribute) row of cells sorts on its own, and a node's groups are
+    consecutive.  The running counts of classes restart at each row's first
+    cell, and the node's size, histogram and entropy are per-group operands
+    of the formulas of :func:`best_condition`, so each gain is its double.
+    """
+    count = sizes.size
+    rows = np.concatenate(nodes)
+    node_of_row = np.repeat(np.arange(count, dtype=np.int64), sizes)
+    labels = data.labels[rows]
+    if two_class:
+        # Label 1 for each node's higher class, as in best_condition.
+        present = parents > 0
+        lower = present.argmax(axis=0)
+        labels = labels == (present.shape[0] - 1 - present[::-1].argmax(axis=0))[node_of_row]
+    bits = data.label_bits
+    code_bits = int(data.levels.size).bit_length()
+    # The codes' dtype holds code << bits (Dataset), and a batch has at most
+    # BLOCK_CELLS nodes, so these int64 keys do not overflow.
+    keys = _cells(data.codes, block, rows)
+    keys <<= bits
+    keys |= labels.astype(keys.dtype)
+    keys = (keys + (node_of_row << (code_bits + bits))).ravel()
+    keys.sort()
+
+    coded = keys >> bits  # node and code
+    starts = np.empty(coded.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(coded[1:], coded[:-1], out=starts[1:])
+    group_start = np.flatnonzero(starts)
+    group_end = np.empty_like(group_start)
+    group_end[:-1] = group_start[1:]
+    group_end[-1] = coded.size
+    node = coded[group_start] >> code_bits
+    n = sizes[node]
+    # A node's cells start after block.size cells per row of earlier nodes.
+    offset = group_start - (np.cumsum(sizes) - sizes)[node] * block.size
+    row_start = group_start - offset % n
+    # Numeric: every cell of the row up to the group's end is valid.
+    # Categorical: the group is.
+    first = row_start
+    n_valid = group_end - row_start
+    kinds = data.numeric[block]
+    categorical = None
+    if not kinds.all():
+        categorical = ~kinds[offset // n]
+        first = np.where(categorical, group_start, row_start)
+        n_valid = group_end - first
+    if two_class:
+        node0 = parents[lower, np.arange(count)]
+        parent0 = node0[node]
+        parent_entropy = _entropy_table()[_tri(sizes) + node0][node]
+        # Rows of the lower class (label 0 in the keys) in sort order; a
+        # candidate's valid side counts them from its first cell on.
+        lower0 = (keys & 1) == 0
+        running = np.cumsum(lower0)
+        valid0 = running[group_end - 1] - running[first] + lower0[first]
+        gains = _table_gains(parent_entropy, n, parent0, valid0, n_valid)
+    else:
+        classes = parents.shape[0]
+        groups = group_start.size
+        column = np.cumsum(starts)
+        # Class-major running counts: column g + 1 holds each class's rows
+        # through group g, after a column of zeros.
+        index = keys & ((1 << bits) - 1)
+        index *= groups + 1
+        index += column
+        running = np.bincount(index, minlength=classes * (groups + 1)).reshape(classes, groups + 1)
+        del index
+        np.cumsum(running, axis=1, out=running)
+        before = column[first] - 1
+        gains = np.empty(groups)
+        # At most BLOCK_CELLS counts per gain evaluation bound its scratch.
+        step = max(1, BLOCK_CELLS // classes)
+        for lo in range(0, groups, step):
+            hi = min(lo + step, groups)
+            valid = running[:, lo + 1:hi + 1] - running[:, before[lo:hi]]
+            nodes_from = node[lo]
+            gains[lo:hi] = _gains(parents[:, nodes_from:node[hi - 1] + 1], valid, n_valid[lo:hi],
+                                  node[lo:hi] - nodes_from)
+    # The last numeric group and a lone categorical group leave the invalid
+    # side empty and are not candidates.
+    gains[n_valid == n] = -np.inf
+
+    # The first maximum of each node: its lowest code among its highest gains.
+    top = np.maximum.reduceat(gains, np.searchsorted(node, np.arange(count)))
+    tied = np.flatnonzero(gains == top[node])
+    pick = tied[np.searchsorted(node[tied], np.arange(count))]
+    code_mask = (1 << code_bits) - 1
+    low = coded[group_start[pick]] & code_mask
+    # A numeric group's high code starts the next group; the batch's last
+    # group, a numeric row's last, is no candidate: its clipped read never wins.
+    high = coded.take(group_end[pick], mode="clip") & code_mask
+    if categorical is not None:
+        high = np.where(categorical[pick], low, high)
+    return top, low, high
 
 
 def _threshold(data: Dataset, attribute: int, low: int, high: int) -> Condition:

@@ -63,17 +63,27 @@ COUNT_TESTS = (
     "tests/test_splitcore.py::TestSearchesFromWalks::test_counted_searches_match_per_attribute_search",
 )
 
-# The four scoring passes of best_condition, each offering its first maximum.
+# The four scoring passes of best_condition and the batch search's offer to
+# each node, each offering its first maximum.
 PER_CUT = "best = max(best, (float(gains[pick]), -int(flat[pick]), int(flat[pick + 1])))"
 PER_GROUP = "best = max(best, (float(gains[pick]), -low, high))"
 KEPT = "best = max(best, (float(gains[pick]), -int(low[pick]), int(high[pick])))"
 COUNTED_LEVEL = "return max(best, (float(gains[pick]), -code, code))"
+BATCH = "best[i] = max(best[i], (gain, -code, next_code))"
+OFFERS = (PER_CUT, PER_GROUP, KEPT, COUNTED_LEVEL, BATCH)
+
+# Batch searches checked against per-node searches and the oracle.
+BATCH_TESTS = (
+    "tests/test_splitcore.py::TestBatchSearch::test_matches_per_node_search",
+    "tests/test_splitcore.py::TestSearchesFromWalks::test_every_search_matches_per_attribute_search",
+)
 
 
 def _offer(line: str, rule: str) -> tuple[str, str]:
-    """An edit of one pass's offer: ``rule`` formats its candidate into the new call."""
-    head, candidate = line.split("max(best, ")
-    return line, head + rule.format(candidate[:-1])
+    """An edit of one offer: ``rule`` formats the best and the candidate into the new call."""
+    head, call = line.split("max(", 1)
+    best, candidate = call[:-1].split(", ", 1)
+    return line, head + rule.format(best=best, candidate=candidate)
 
 
 MUTANTS = (
@@ -84,6 +94,7 @@ MUTANTS = (
          (PER_GROUP, PER_GROUP.replace("-low", "low")),
          (KEPT, KEPT.replace("-int(low[pick])", "int(low[pick])")),
          (COUNTED_LEVEL, COUNTED_LEVEL.replace("-code", "code")),
+         (BATCH, BATCH.replace("-code", "code")),
          ("low, high = -best[1], best[2]", "low, high = best[1], best[2]")),
         RULE_TESTS,
     ),
@@ -91,14 +102,12 @@ MUTANTS = (
         "equal gains go to the later pass", SPLITCORE,
         # The least positive double as the start, so that gains of 0.0 still lose.
         (("_NO_SPLIT = (0.0, 1, 0)", "_NO_SPLIT = (5e-324, 1, 0)"),
-         *(_offer(line, "max({}, best, key=lambda c: c[0])")
-           for line in (PER_CUT, PER_GROUP, KEPT, COUNTED_LEVEL))),
+         *(_offer(line, "max({candidate}, {best}, key=lambda c: c[0])") for line in OFFERS)),
         RULE_TESTS,
     ),
     Mutant(
         "equal-gain clause dropped", SPLITCORE,
-        tuple(_offer(line, "max(best, {}, key=lambda c: c[0])")
-              for line in (PER_CUT, PER_GROUP, KEPT, COUNTED_LEVEL)),
+        tuple(_offer(line, "max({best}, {candidate}, key=lambda c: c[0])") for line in OFFERS),
         RULE_TESTS,
     ),
     Mutant(
@@ -160,15 +169,41 @@ MUTANTS = (
         ("tests/test_splitcore.py::TestClassSum",),
     ),
     Mutant(
-        "walk pushes the invalid side first", "src/treelab/eager_tree.py",
-        (("""        if expand_all or mask.any():
-            stack.append((valid_rows, positions[mask], path + (1,), held))
-        if expand_all or not mask.all():
-            stack.append((invalid_rows, positions[~mask], path + (0,), held))""",
-          """        if expand_all or not mask.all():
-            stack.append((invalid_rows, positions[~mask], path + (0,), held))
-        if expand_all or mask.any():
-            stack.append((valid_rows, positions[mask], path + (1,), held))"""),),
+        "batch tie takes the highest low code", SPLITCORE,
+        (("pick = tied[np.searchsorted(node[tied], np.arange(count))]",
+          'pick = tied[np.searchsorted(node[tied], np.arange(count), side="right") - 1]'),),
+        ("tests/test_splitcore.py::TestBatchSearch::test_ties_break_to_the_first_attribute",
+         *BATCH_TESTS),
+    ),
+    Mutant(
+        "batch lower-class count runs on across rows", SPLITCORE,
+        (("valid0 = running[group_end - 1] - running[first] + lower0[first]",
+          "valid0 = running[group_end - 1]"),),
+        BATCH_TESTS,
+    ),
+    Mutant(
+        "batch class counts run on across rows", SPLITCORE,
+        (("before = column[first] - 1", "before = column[first] * 0"),),
+        BATCH_TESTS,
+    ),
+    Mutant(
+        "batch keys leave out the node", SPLITCORE,
+        (("keys = (keys + (node_of_row << (code_bits + bits))).ravel()",
+          "keys = (keys + 0 * node_of_row).ravel()"),),
+        BATCH_TESTS,
+    ),
+    Mutant(
+        "walk passes events on in level order", "src/treelab/eager_tree.py",
+        (("events.sort(key=lambda event: event.path)",
+          "events.sort(key=lambda event: len(event.path))"),),
+        ("tests/test_batched.py::TestOrderAndOutput::test_depth_first_invalid_before_valid",
+         "tests/test_cli.py::test_trace_golden_lines",
+         "tests/test_cli.py::TestTrace::test_batched_depths_trace_the_recursion_preorder"),
+    ),
+    Mutant(
+        "walk passes the valid side on first", "src/treelab/eager_tree.py",
+        (("events.sort(key=lambda event: event.path)",
+          "events.sort(key=lambda event: [1 - side for side in event.path])"),),
         ("tests/test_batched.py::TestOrderAndOutput::test_depth_first_invalid_before_valid",
          "tests/test_cli.py::test_trace_golden_lines",
          "tests/test_eager.py::TestBuildTree::test_matches_independent_recursion_replay"),

@@ -14,9 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import find_full_coverage_seed, random_dataset
 from oracles import decode
-from treelab import SplitParams, bench, cli, load_csv, run_cv
+from treelab import (
+    SplitParams,
+    bench,
+    bootstrap,
+    cli,
+    eager_tree,
+    load_csv,
+    load_prediction_rows,
+    mix_seed,
+    run_cv,
+)
 from treelab.cli import (
     EXIT_BAD_PARAMS,
     EXIT_DATASET_ERROR,
@@ -522,6 +533,96 @@ class TestTrace:
                 "--out", str(out),
             ]) == 0
         assert out_full.read_bytes() == out_single.read_bytes()
+
+    @staticmethod
+    def _noisy_csvs(tmp_path, test_step):
+        """A noisy 240-row, 3-class CSV of two numeric and one categorical
+        attribute, and a test CSV of every ``test_step``-th of its rows."""
+        rng = np.random.default_rng(12)
+        labels = rng.integers(0, 3, size=240)
+        numbers = rng.integers(0, 10, size=(240, 2)) + (rng.random((240, 2)) < 0.3) * labels[:, None]
+        levels = (labels + rng.integers(0, 3, size=240)) % 4
+        cells = [[f"{a:.1f}", f"{b:.1f}", f"v{c}"] for (a, b), c in zip(numbers, levels)]
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("\n".join(["x0,x1,c2,label"] + [
+            ",".join(row + [f"k{label}"]) for row, label in zip(cells, labels)]) + "\n")
+        test.write_text("\n".join(["x0,x1,c2"] + [",".join(row) for row in cells[::test_step]]) + "\n")
+        return train, test
+
+    @staticmethod
+    def _recursion_traces(data, test_values, params, seed, bootstraps):
+        """The trace lines of each algorithm, from the independent recursion's preorder.
+
+        dt lists every node, batched the nodes some test row reaches with
+        their test counts, and lazy each test row's path, row by row.
+        """
+        traces = {alg: [TRACE_HEADER_LINE] for alg in ("dt", "batched", "lazy")}
+        for i in range(bootstraps):
+            rows = bootstrap(np.arange(data.n_rows), mix_seed(seed, i))
+            replay = oracles.expand_recursion(data, rows, params)
+            nodes = {path: (len(rows), kind, payload) for path, rows, kind, payload in replay}
+            routes = []
+            for row in test_values:
+                path = ()
+                while nodes[path][1] == "split":
+                    path += (int(oracles.holds(nodes[path][2], row[nodes[path][2].attribute])),)
+                routes.append(path)
+
+            def line(path, test, row):
+                train, kind, payload = nodes[path]
+                action = (f"split {payload.attribute} {payload.op} {payload.value!r}"
+                          if kind == "split" else f"leaf {payload}")
+                text = "".join("iv"[side] for side in path) or "-"
+                return f"{len(path)}\t{text}\t{train}\t{test}\t{row}\t{action}"
+
+            for path, *_ in replay:
+                traces["dt"].append(line(path, "-", "-"))
+                reached = sum(route[:len(path)] == path for route in routes)
+                if reached:
+                    traces["batched"].append(line(path, reached, "-"))
+            for j, route in enumerate(routes):
+                traces["lazy"].extend(line(route[:depth], "-", j) for depth in range(len(route) + 1))
+        return traces
+
+    def test_batched_depths_trace_the_recursion_preorder(self, tmp_path, monkeypatch):
+        # A noisy 3-class table whose trees have depths of eight or more
+        # small nodes, which dt and batched search in batches.  Each
+        # algorithm's trace is the preorder of the recursion on each bootstrap.
+        train, test = self._noisy_csvs(tmp_path, 12)
+        data = load_csv(train)
+        test_values = load_prediction_rows(data, test)
+        batches = []
+
+        def batch(data, nodes, hists):
+            batches.append(len(nodes))
+            return best_conditions(data, nodes, hists)
+
+        best_conditions = eager_tree.best_conditions
+        monkeypatch.setattr(eager_tree, "best_conditions", batch)
+        want = self._recursion_traces(data, test_values, SplitParams(min_count=1), 3, 2)
+        out = tmp_path / "trace.txt"
+        for algorithm, lines in want.items():
+            batches.clear()
+            assert main(["trace", "--train", str(train), "--test", str(test),
+                         "--algorithm", algorithm, "--bootstraps", "2", "--min-count", "1",
+                         "--seed", "3", "--force", "--out", str(out)]) == 0
+            assert out.read_text().splitlines() == lines, algorithm
+            assert bool(batches) == (algorithm != "lazy"), algorithm
+
+    def test_guardrail_crossed_inside_a_tree(self, tmp_path, monkeypatch):
+        # The walk passes a tree's events on when the tree is done; a limit
+        # crossed halfway through the first tree still ends the run with no
+        # file.
+        train, test = self._noisy_csvs(tmp_path, 60)
+        out = tmp_path / "trace.txt"
+        args = ["trace", "--train", str(train), "--test", str(test), "--algorithm", "dt",
+                "--min-count", "1", "--seed", "3", "--out", str(out)]
+        assert main(args + ["--force"]) == 0
+        nodes = len(out.read_text().splitlines()) - 1
+        out.unlink()
+        monkeypatch.setattr(cli, "TRACE_LINE_LIMIT", nodes // 2)
+        assert main(args) == EXIT_TRACE_GUARDRAIL
+        assert not out.exists() and list(tmp_path.iterdir()) == [train, test]
 
     def test_guardrail(self, tmp_path):
         rng = np.random.default_rng(3)

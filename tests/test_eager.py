@@ -22,6 +22,7 @@ from treelab import (
     predict_row,
 )
 from treelab.eager_tree import TreeNode
+from treelab.splitcore import best_condition, best_conditions
 
 
 def fresh_metrics():
@@ -77,16 +78,52 @@ class TestBuildTree:
         assert tree.is_leaf and tree.label == 1
 
     def test_pure_node_is_leaf_at_min_count_one(self, monkeypatch):
-        # Purity alone stops the walk: no split search runs on a pure node.
+        # Purity alone stops the walk: no split search runs on a pure node,
+        # whether searched alone or in a batch.
         def no_search(data, rows, hist=None):
             raise AssertionError("split search on a pure node")
 
+        def no_batch(data, nodes, hists):
+            raise AssertionError("batch split search on a pure node")
+
         monkeypatch.setattr(eager_tree, "best_condition", no_search)
+        monkeypatch.setattr(eager_tree, "best_conditions", no_batch)
         data = dataset_from_arrays([[1.0], [2.0], [3.0]], [1, 1, 1])
         metrics = fresh_metrics()
         tree = build_tree(data, np.arange(3), SplitParams(min_count=1), metrics)
         assert tree.is_leaf and tree.label == 1
         assert metrics.nodes_explored == 1
+
+    def test_pure_nodes_of_a_batched_depth_are_not_searched(self, monkeypatch):
+        # A 16-class table whose attribute 0 isolates each class: the root
+        # splits on it level by level, and the depths that hold many small
+        # nodes batch their searches.  No pure node reaches either entry.
+        searched = []
+
+        def impure(data, rows, hist):
+            assert np.count_nonzero(hist) >= 2, "split search on a pure node"
+            searched.append(rows.size)
+
+        def search(data, rows, hist=None):
+            impure(data, rows, hist)
+            return best_condition(data, rows, hist)
+
+        def batch(data, nodes, hists):
+            for rows, hist in zip(nodes, hists):
+                impure(data, rows, hist)
+            batches.append(len(nodes))
+            return best_conditions(data, nodes, hists)
+
+        batches = []
+        monkeypatch.setattr(eager_tree, "best_condition", search)
+        monkeypatch.setattr(eager_tree, "best_conditions", batch)
+        rng = np.random.default_rng(16)
+        labels = np.repeat(np.arange(16), 20)
+        values = np.column_stack([labels + rng.random(labels.size) * 0.5,
+                                  rng.normal(size=labels.size)])
+        data = dataset_from_arrays(values, labels, class_names=tuple(f"k{i}" for i in range(16)))
+        tree = build_tree(data, np.arange(labels.size), SplitParams(min_count=1), fresh_metrics())
+        assert batches and count_nodes(tree) == 31
 
     def test_no_gain_becomes_leaf(self):
         # Impure rows with a constant attribute cannot split.
@@ -268,28 +305,35 @@ class TestFitPredictEager:
         assert count_nodes(tree) > 100
         assert traced_peak(8) - traced_peak(1) < 2 * tree_bytes
 
-    def test_fit_holds_no_tree(self):
-        # The traced memory a fit holds, sampled at each visit, is the same
-        # for dt as for batched up to a few walk frames: dt builds no tree.
-        # Visits fall between split searches, whose scratch sets the plain
-        # peak of both fits at the root, before any tree exists.
+    def test_fit_holds_no_tree(self, monkeypatch):
+        # The traced memory a fit holds, sampled as each node counts its
+        # classes, is the same for dt as for batched up to the nodes of the
+        # walk's current and next depths (0.6 of the tree's bytes here); a
+        # fit that built the tree would hold the tree on top.  No on_visit
+        # is passed, as the walk holds a tree's events until the tree is
+        # done.  Split searches' scratch sets the plain peak of both fits at
+        # the root, before any tree exists.
         rng = np.random.default_rng(79)
         data = random_dataset(rng, 300, 4, 0, 3)
         train, test = np.arange(250), np.arange(250, 253)
         params = SplitParams(min_count=1)
+        count_classes = eager_tree.class_histogram
 
         def held_at_visits(fit):
             most = 0
 
-            def sample(event):
+            def sample(data, rows):
                 nonlocal most
                 most = max(most, tracemalloc.get_traced_memory()[0])
+                return count_classes(data, rows)
 
+            monkeypatch.setattr(eager_tree, "class_histogram", sample)
             tracemalloc.start()
             try:
-                fit(data, train, test, 1, params, 5, on_visit=sample)
+                fit(data, train, test, 1, params, 5)
             finally:
                 tracemalloc.stop()
+                monkeypatch.setattr(eager_tree, "class_histogram", count_classes)
             return most
 
         rows = bootstrap(train, mix_seed(5, 0))
@@ -299,7 +343,7 @@ class TestFitPredictEager:
         for fit in (fit_predict_eager, fit_predict_batched):
             held_at_visits(fit)
         eager, batched = held_at_visits(fit_predict_eager), held_at_visits(fit_predict_batched)
-        assert eager - batched < tree_bytes / 3
+        assert eager - batched < 2 * tree_bytes / 3
 
     def test_tree_holds_few_bytes_per_node(self):
         # The cost model charges four words a node.  A node and its condition

@@ -29,7 +29,15 @@ from treelab import (
     splitcore,
 )
 from treelab import eager_tree
-from treelab.splitcore import BLOCK_CELLS, TABLE_ROWS, _class_sum, class_histogram
+from treelab.splitcore import (
+    BLOCK_CELLS,
+    SEGMENT_MIN,
+    SEGMENT_ROWS,
+    TABLE_ROWS,
+    _class_sum,
+    best_conditions,
+    class_histogram,
+)
 
 # Frozen via the plain-Python oracle: -(0.75*log2(0.75) + 0.25*log2(0.25))
 ENTROPY_3_1 = 0.8112781244591328
@@ -1045,12 +1053,101 @@ class TestCountedSearch:
         assert repr(got) == repr(oracles.per_attribute_best_condition(data, rows))
 
 
+def _batch_table(rng, classes, kinds, n_rows, grid=5):
+    """A table of the given kinds on a small value grid, with label-led cells.
+
+    Attribute 0 is constant and the last copies attribute 1 (the same kind),
+    so every node ties the copy with the original.
+    """
+    labels = rng.integers(0, classes, size=n_rows)
+    while np.unique(labels).size < 2:
+        labels = rng.integers(0, classes, size=n_rows)
+    columns = [np.where(rng.random(n_rows) < 0.5, labels % grid, rng.integers(0, grid, size=n_rows))
+               for _ in kinds]
+    columns[0] = np.zeros(n_rows)
+    columns.append(columns[1])
+    return dataset_from_arrays(np.column_stack(columns), labels, kinds=kinds + kinds[1],
+                               class_names=tuple(f"k{i}" for i in range(classes)))
+
+
+def _batch_nodes(rng, data, count, most):
+    """``count`` bootstrap-like row draws of 1 to ``most`` rows each, with their histograms."""
+    nodes = [rng.integers(0, data.n_rows, size=int(rng.integers(1, most + 1)))
+             for _ in range(count)]
+    return nodes, [class_histogram(data, rows) for rows in nodes]
+
+
+class TestBatchSearch:
+    """The batch search of a level's small nodes returns each node's best_condition."""
+
+    @given(seed=st.integers(0, 2**32 - 1), classes=st.sampled_from([2, 3, 8, 300]),
+           kinds=st.text("nc", min_size=2, max_size=6), count=st.integers(8, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_node_search(self, seed, classes, kinds, count):
+        # 8-40 nodes of 1-64 rows drawn with repeats, of one to 300 classes
+        # each, on interleaved numeric and categorical attributes with a
+        # constant one and a tied copy.
+        rng = np.random.default_rng(seed)
+        data = _batch_table(rng, classes, kinds, 200, grid=int(rng.integers(2, 9)))
+        nodes, hists = _batch_nodes(rng, data, count, SEGMENT_ROWS)
+        got = best_conditions(data, nodes, hists)
+        assert len(got) == count
+        for rows, hist, cond in zip(nodes, hists, got):
+            assert repr(cond) == repr(best_condition(data, rows, hist))
+
+    def test_ties_break_to_the_first_attribute(self):
+        # Every node that splits picks attribute 1 over its copy.
+        rng = np.random.default_rng(5)
+        data = _batch_table(rng, 3, "cnc", 200)
+        nodes, hists = _batch_nodes(rng, data, 30, SEGMENT_ROWS)
+        found = [cond for cond in best_conditions(data, nodes, hists) if cond is not None]
+        assert found and all(cond.attribute != data.n_attributes - 1 for cond in found)
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_blocks_of_attributes(self, classes):
+        # More than BLOCK_CELLS / SEGMENT_ROWS attributes take two attribute
+        # blocks, and the nodes several batches.
+        rng = np.random.default_rng(classes)
+        m = BLOCK_CELLS // SEGMENT_ROWS + 40
+        labels = rng.integers(0, classes, size=400)
+        values = rng.integers(0, 6, size=(400, m)) + (rng.random((400, m)) < 0.2) * labels[:, None]
+        data = dataset_from_arrays(values, labels, class_names=tuple(f"k{i}" for i in range(classes)))
+        nodes, hists = _batch_nodes(rng, data, 12, SEGMENT_ROWS)
+        for rows, hist, cond in zip(nodes, hists, best_conditions(data, nodes, hists)):
+            assert repr(cond) == repr(oracles.per_attribute_best_condition(data, rows))
+
+    def test_scratch_is_bounded(self):
+        # One batch of BLOCK_CELLS cells, 64-row nodes of a 300-class table
+        # on 16 attributes: its keys and group arrays, the running class
+        # counts of every group (a class row each) and one chunk's gain
+        # evaluation at a time, within the bound of the pruned searches.
+        classes, m, n = 300, 16, BLOCK_CELLS // 16
+        rng = np.random.default_rng(300)
+        labels = rng.integers(0, classes, size=4 * n)
+        data = dataset_from_arrays(rng.normal(size=(4 * n, m)), labels,
+                                   class_names=tuple(f"k{i}" for i in range(classes)))
+        nodes = np.split(rng.permutation(4 * n)[:n], n // SEGMENT_ROWS)
+        hists = [class_histogram(data, rows) for rows in nodes]
+        best_conditions(data, nodes, hists)  # builds the table's first arrays untraced
+        tracemalloc.start()
+        try:
+            best_conditions(data, nodes, hists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (12 + 2 * classes) * (BLOCK_CELLS + n) * 8
+
+
 class TestSearchesFromWalks:
     """The nested row subsets of real walks, each search checked against the oracle."""
 
     @staticmethod
-    def _searches(fit, tables, params, test_step, monkeypatch):
-        """Every search of seeded fits on the tables, each checked against the oracle."""
+    def _searches(fit, tables, params, test_step, monkeypatch, batches=None):
+        """Every search of seeded fits on the tables, each checked against the oracle.
+
+        Searches made one at a time and in batches are both recorded, and
+        ``batches`` (if given) collects each batch's node count.
+        """
         searches = []
 
         def spy(data, rows, hist=None):
@@ -1058,7 +1155,15 @@ class TestSearchesFromWalks:
             searches.append((data, np.array(rows), got))
             return got
 
+        def batch_spy(data, nodes, hists):
+            found = best_conditions(data, nodes, hists)
+            searches.extend((data, np.array(rows), got) for rows, got in zip(nodes, found))
+            if batches is not None:
+                batches.append(len(nodes))
+            return found
+
         monkeypatch.setattr(eager_tree, "best_condition", spy)
+        monkeypatch.setattr(eager_tree, "best_conditions", batch_spy)
         for data in tables:
             fit(data, np.arange(data.n_rows), np.arange(0, data.n_rows, test_step), 2, params, 17)
         for data, rows, got in searches:
@@ -1069,13 +1174,19 @@ class TestSearchesFromWalks:
     @pytest.mark.parametrize("classes", [2, 3, 8])
     @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
     def test_every_search_matches_per_attribute_search(self, fit, classes, monkeypatch):
+        # The eager and batched walks search their many small nodes of a
+        # depth in batches; a lazy walk holds one node per depth and never does.
         rng = np.random.default_rng(40 + classes)
         tables = [gaussian_dataset(rng, 150, 4, classes, spread=0.8),
-                  random_dataset(rng, 150, 3, 2, classes, value_grid=6)]
+                  random_dataset(rng, 150, 3, 2, classes, value_grid=6),
+                  gaussian_dataset(rng, 1000, 4, classes, spread=0.5)]
+        batches = []
         searches = self._searches(fit, tables, SplitParams(min_count=2, max_depth=8), 25,
-                                  monkeypatch)
+                                  monkeypatch, batches)
         two = sum(np.count_nonzero(class_histogram(data, rows)) == 2 for data, rows, _ in searches)
         assert len(searches) >= 20 and two >= 5
+        assert (len(batches) >= 1) == (fit is not fit_predict_lazy)
+        assert all(count >= SEGMENT_MIN for count in batches)
 
     @pytest.mark.parametrize("fit", [fit_predict_eager, fit_predict_batched, fit_predict_lazy])
     def test_pruned_searches_match_per_attribute_search(self, fit, monkeypatch):
