@@ -30,6 +30,7 @@ def fit_predict_batched(
     base_seed: int,
     *,
     on_visit=None,
+    event_limit: int | None = None,
 ) -> tuple[np.ndarray, RunMetrics]:
     """Predict class probabilities with one co-partitioning walk per bootstrap.
 
@@ -39,4 +40,5 @@ def fit_predict_batched(
     explored nodes are a subset of the eager build's, so the batched stack
     peak never exceeds the eager one.
     """
-    return fit_bagged(data, train_rows, test, b, params, base_seed, BATCHED, on_visit)
+    return fit_bagged(data, train_rows, test, b, params, base_seed, BATCHED, on_visit,
+                      event_limit)

@@ -236,7 +236,10 @@ def cmd_trace(args) -> int:
             handle.write(format_trace_line(event) + "\n")
 
         handle.write(TRACE_HEADER + "\n")
-        fit(*fit_args, on_visit=write_line)
+        # The fit stops the tree that crosses the limit, and write_line
+        # refuses the line past it.
+        fit(*fit_args, on_visit=write_line,
+            event_limit=None if args.force else TRACE_LINE_LIMIT)
 
     _write_outputs([(Path(args.out), write_trace)])
     return 0

@@ -30,6 +30,7 @@ def fit_predict_lazy(
     base_seed: int,
     *,
     on_visit=None,
+    event_limit: int | None = None,
 ) -> tuple[np.ndarray, RunMetrics]:
     """Predict class probabilities by growing one path per (bootstrap, row).
 
@@ -38,4 +39,5 @@ def fit_predict_lazy(
     shrinking walk subsets reuse that allowance, so the stack peak per
     bootstrap is the bootstrap size itself.
     """
-    return fit_bagged(data, train_rows, test, b, params, base_seed, LAZY, on_visit)
+    return fit_bagged(data, train_rows, test, b, params, base_seed, LAZY, on_visit,
+                      event_limit)

@@ -209,6 +209,29 @@ MUTANTS = (
          "tests/test_eager.py::TestBuildTree::test_matches_independent_recursion_replay"),
     ),
     Mutant(
+        "walk batches a many-class table", "src/treelab/eager_tree.py",
+        (("batch = data.class_count <= SEGMENT_CLASSES", "batch = True"),),
+        ("tests/test_eager.py::TestFitPredictEager::test_many_class_walk_peaks_at_its_largest_search",),
+    ),
+    Mutant(
+        "walk holds each node's histogram for its depth", "src/treelab/eager_tree.py",
+        (("hist = class_histogram(data, node_rows)",
+          "hist = class_histogram(data, node_rows)\n            conds.append(hist)"),),
+        ("tests/test_eager.py::TestFitPredictEager::test_many_class_walk_peaks_at_its_largest_search",
+         "tests/test_eager.py::TestFitPredictEager::test_fit_holds_no_tree"),
+    ),
+    Mutant(
+        "walk leaves a child's rows where they were", "src/treelab/eager_tree.py",
+        (("                rows[first:middle] = invalid_rows\n", ""),),
+        ("tests/test_eager.py::TestBuildTree::test_matches_independent_recursion_replay",),
+    ),
+    Mutant(
+        "walk runs past the event limit", "src/treelab/eager_tree.py",
+        (("stopped = bool(level) and event_limit is not None", "stopped = False and event_limit is not None"),),
+        ("tests/test_eager.py::TestFitPredictEager::test_event_limit_stops_the_walk",
+         "tests/test_cli.py::TestTrace::test_guardrail_crossed_inside_a_tree"),
+    ),
+    Mutant(
         "seed-mixing constant changed", "src/treelab/rng.py",
         (("_GAMMA = 0x9E3779B97F4A7C15", "_GAMMA = 0x9E3779B97F4A7C17"),),
         ("tests/test_rng.py", "tests/test_dataset.py::TestBootstrap"),

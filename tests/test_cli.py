@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import ctypes
@@ -593,9 +594,9 @@ class TestTrace:
         test_values = load_prediction_rows(data, test)
         batches = []
 
-        def batch(data, nodes, hists):
+        def batch(data, nodes):
             batches.append(len(nodes))
-            return best_conditions(data, nodes, hists)
+            return best_conditions(data, nodes)
 
         best_conditions = eager_tree.best_conditions
         monkeypatch.setattr(eager_tree, "best_conditions", batch)
@@ -610,18 +611,36 @@ class TestTrace:
             assert bool(batches) == (algorithm != "lazy"), algorithm
 
     def test_guardrail_crossed_inside_a_tree(self, tmp_path, monkeypatch):
-        # The walk passes a tree's events on when the tree is done; a limit
-        # crossed halfway through the first tree still ends the run with no
-        # file.
+        # The walk passes a tree's events on when the tree is done, but stops
+        # at the depth that crosses the limit: a limit crossed a quarter of
+        # the way through the only tree ends the run with no file, and the
+        # nodes past that depth are never visited.
         train, test = self._noisy_csvs(tmp_path, 60)
         out = tmp_path / "trace.txt"
         args = ["trace", "--train", str(train), "--test", str(test), "--algorithm", "dt",
-                "--min-count", "1", "--seed", "3", "--out", str(out)]
+                "--bootstraps", "1", "--min-count", "1", "--seed", "3", "--out", str(out)]
         assert main(args + ["--force"]) == 0
-        nodes = len(out.read_text().splitlines()) - 1
+        depths = collections.Counter(
+            int(line.split("\t")[0]) for line in out.read_text().splitlines()[1:])
+        nodes = sum(depths.values())
         out.unlink()
-        monkeypatch.setattr(cli, "TRACE_LINE_LIMIT", nodes // 2)
+        limit = nodes // 4
+        # The depth that crosses the limit is the last one visited.
+        crossing = next(depth for depth in sorted(depths)
+                        if sum(depths[d] for d in depths if d <= depth) > limit)
+        visited = sum(depths[d] for d in depths if d <= crossing)
+        assert visited < nodes // 2
+        counted = []
+        count_classes = eager_tree.class_histogram
+
+        def spy(data, rows):
+            counted.append(rows.size)
+            return count_classes(data, rows)
+
+        monkeypatch.setattr(eager_tree, "class_histogram", spy)
+        monkeypatch.setattr(cli, "TRACE_LINE_LIMIT", limit)
         assert main(args) == EXIT_TRACE_GUARDRAIL
+        assert len(counted) == visited
         assert not out.exists() and list(tmp_path.iterdir()) == [train, test]
 
     def test_guardrail(self, tmp_path):

@@ -22,7 +22,7 @@ from treelab import (
     predict_row,
 )
 from treelab.eager_tree import TreeNode
-from treelab.splitcore import best_condition, best_conditions
+from treelab.splitcore import SEGMENT_CLASSES, best_condition, best_conditions
 
 
 def fresh_metrics():
@@ -83,7 +83,7 @@ class TestBuildTree:
         def no_search(data, rows, hist=None):
             raise AssertionError("split search on a pure node")
 
-        def no_batch(data, nodes, hists):
+        def no_batch(data, nodes):
             raise AssertionError("batch split search on a pure node")
 
         monkeypatch.setattr(eager_tree, "best_condition", no_search)
@@ -100,19 +100,20 @@ class TestBuildTree:
         # nodes batch their searches.  No pure node reaches either entry.
         searched = []
 
-        def impure(data, rows, hist):
+        def impure(data, rows):
+            hist = eager_tree.class_histogram(data, rows)
             assert np.count_nonzero(hist) >= 2, "split search on a pure node"
             searched.append(rows.size)
 
         def search(data, rows, hist=None):
-            impure(data, rows, hist)
+            impure(data, rows)
             return best_condition(data, rows, hist)
 
-        def batch(data, nodes, hists):
-            for rows, hist in zip(nodes, hists):
-                impure(data, rows, hist)
+        def batch(data, nodes):
+            for rows in nodes:
+                impure(data, rows)
             batches.append(len(nodes))
-            return best_conditions(data, nodes, hists)
+            return best_conditions(data, nodes)
 
         batches = []
         monkeypatch.setattr(eager_tree, "best_condition", search)
@@ -307,9 +308,10 @@ class TestFitPredictEager:
 
     def test_fit_holds_no_tree(self, monkeypatch):
         # The traced memory a fit holds, sampled as each node counts its
-        # classes, is the same for dt as for batched up to the nodes of the
-        # walk's current and next depths (0.6 of the tree's bytes here); a
-        # fit that built the tree would hold the tree on top.  No on_visit
+        # classes, is the same for dt as for batched up to the few words a
+        # node that the walk holds for a depth: dt's widest depth holds 20
+        # of the tree's 137 nodes, batched's at most the 3 test rows' nodes.
+        # A fit that built the tree would hold the tree on top.  No on_visit
         # is passed, as the walk holds a tree's events until the tree is
         # done.  Split searches' scratch sets the plain peak of both fits at
         # the root, before any tree exists.
@@ -343,7 +345,83 @@ class TestFitPredictEager:
         for fit in (fit_predict_eager, fit_predict_batched):
             held_at_visits(fit)
         eager, batched = held_at_visits(fit_predict_eager), held_at_visits(fit_predict_batched)
-        assert eager - batched < 2 * tree_bytes / 3
+        depth, widest = [tree], 0
+        while depth:
+            widest = max(widest, len(depth))
+            depth = [child for node in depth if not node.is_leaf
+                     for child in (node.invalid_child, node.valid_child)]
+        assert widest == 20
+        assert eager - batched < min(tree_bytes / 3, widest * 12 * 8)
+
+    def test_event_limit_stops_the_walk(self):
+        # The walk stops at the depth that takes the fit's events past the
+        # limit and passes on, in preorder, every node of the depths it
+        # visited; if on_visit takes them all, the fit raises.
+        rng = np.random.default_rng(79)
+        data = random_dataset(rng, 300, 4, 0, 3)
+        fit_args = (data, np.arange(250), np.arange(250, 253), 1, SplitParams(min_count=1), 5)
+        full, events = [], []
+        fit_predict_eager(*fit_args, on_visit=full.append)
+        with pytest.raises(RuntimeError, match="more than 10 events"):
+            fit_predict_eager(*fit_args, on_visit=events.append, event_limit=10)
+        last = max(len(event.path) for event in events)
+        assert last < max(len(event.path) for event in full)
+        assert events == [event for event in full if len(event.path) <= last]
+        assert len(events) > 10
+
+    def test_many_class_walk_peaks_at_its_largest_search(self, monkeypatch):
+        # 500 rows of 40 classes in a table of 4 000, on three 25-level
+        # attributes: many depths hold eight or more small nodes, which the
+        # walk searches one at a time above SEGMENT_CLASSES classes, as a
+        # batch counts every class for each of its cells.  The walk keeps no
+        # histogram past its node's visit, so its traced peak is that of
+        # its largest search, plus the fit's votes, one histogram and its
+        # own few words.
+        rng = np.random.default_rng(4000)
+        labels = rng.integers(0, 40, size=500) * 97
+        data = dataset_from_arrays(rng.integers(0, 25, size=(500, 3)).astype(float), labels,
+                                   class_names=tuple(f"k{i}" for i in range(4000)))
+        assert data.class_count > SEGMENT_CLASSES
+        searched = []
+
+        def search(data, rows, hist=None):
+            if searched is not None:
+                searched.append(np.array(rows))
+            return best_condition(data, rows, hist)
+
+        def no_batch(data, nodes):
+            raise AssertionError("batch search on a 4 000-class table")
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(eager_tree, "best_condition", search)
+        monkeypatch.setattr(eager_tree, "best_conditions", no_batch)
+        fit_args = (data, np.arange(500), np.arange(3), 1, SplitParams(min_count=1), 5)
+        fit_predict_eager(*fit_args)
+        nodes, searched = searched, None
+        assert len(nodes) > 200
+        held = []
+        count_classes = eager_tree.class_histogram
+
+        def sample(data, rows):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return count_classes(data, rows)
+
+        monkeypatch.setattr(eager_tree, "class_histogram", sample)
+        walk = traced_peak(lambda: fit_predict_eager(*fit_args))
+        monkeypatch.setattr(eager_tree, "class_histogram", count_classes)
+        largest = max(traced_peak(lambda: best_condition(data, rows)) for rows in nodes)
+        votes, hist = 3 * data.class_count * 8, data.class_count * 8
+        # Between searches the fit holds its votes and a few histograms'
+        # worth of rows and words, not a histogram per node of a depth.
+        assert max(held) < votes + 4 * hist
+        assert walk < largest + votes + 2 * hist
 
     def test_tree_holds_few_bytes_per_node(self):
         # The cost model charges four words a node.  A node and its condition

@@ -1071,10 +1071,9 @@ def _batch_table(rng, classes, kinds, n_rows, grid=5):
 
 
 def _batch_nodes(rng, data, count, most):
-    """``count`` bootstrap-like row draws of 1 to ``most`` rows each, with their histograms."""
-    nodes = [rng.integers(0, data.n_rows, size=int(rng.integers(1, most + 1)))
-             for _ in range(count)]
-    return nodes, [class_histogram(data, rows) for rows in nodes]
+    """``count`` bootstrap-like row draws of 1 to ``most`` rows each."""
+    return [rng.integers(0, data.n_rows, size=int(rng.integers(1, most + 1)))
+            for _ in range(count)]
 
 
 class TestBatchSearch:
@@ -1089,18 +1088,18 @@ class TestBatchSearch:
         # constant one and a tied copy.
         rng = np.random.default_rng(seed)
         data = _batch_table(rng, classes, kinds, 200, grid=int(rng.integers(2, 9)))
-        nodes, hists = _batch_nodes(rng, data, count, SEGMENT_ROWS)
-        got = best_conditions(data, nodes, hists)
+        nodes = _batch_nodes(rng, data, count, SEGMENT_ROWS)
+        got = best_conditions(data, nodes)
         assert len(got) == count
-        for rows, hist, cond in zip(nodes, hists, got):
-            assert repr(cond) == repr(best_condition(data, rows, hist))
+        for rows, cond in zip(nodes, got):
+            assert repr(cond) == repr(best_condition(data, rows))
 
     def test_ties_break_to_the_first_attribute(self):
         # Every node that splits picks attribute 1 over its copy.
         rng = np.random.default_rng(5)
         data = _batch_table(rng, 3, "cnc", 200)
-        nodes, hists = _batch_nodes(rng, data, 30, SEGMENT_ROWS)
-        found = [cond for cond in best_conditions(data, nodes, hists) if cond is not None]
+        nodes = _batch_nodes(rng, data, 30, SEGMENT_ROWS)
+        found = [cond for cond in best_conditions(data, nodes) if cond is not None]
         assert found and all(cond.attribute != data.n_attributes - 1 for cond in found)
 
     @pytest.mark.parametrize("classes", [2, 5])
@@ -1112,8 +1111,8 @@ class TestBatchSearch:
         labels = rng.integers(0, classes, size=400)
         values = rng.integers(0, 6, size=(400, m)) + (rng.random((400, m)) < 0.2) * labels[:, None]
         data = dataset_from_arrays(values, labels, class_names=tuple(f"k{i}" for i in range(classes)))
-        nodes, hists = _batch_nodes(rng, data, 12, SEGMENT_ROWS)
-        for rows, hist, cond in zip(nodes, hists, best_conditions(data, nodes, hists)):
+        nodes = _batch_nodes(rng, data, 12, SEGMENT_ROWS)
+        for rows, cond in zip(nodes, best_conditions(data, nodes)):
             assert repr(cond) == repr(oracles.per_attribute_best_condition(data, rows))
 
     def test_scratch_is_bounded(self):
@@ -1127,11 +1126,10 @@ class TestBatchSearch:
         data = dataset_from_arrays(rng.normal(size=(4 * n, m)), labels,
                                    class_names=tuple(f"k{i}" for i in range(classes)))
         nodes = np.split(rng.permutation(4 * n)[:n], n // SEGMENT_ROWS)
-        hists = [class_histogram(data, rows) for rows in nodes]
-        best_conditions(data, nodes, hists)  # builds the table's first arrays untraced
+        best_conditions(data, nodes)  # builds the table's first arrays untraced
         tracemalloc.start()
         try:
-            best_conditions(data, nodes, hists)
+            best_conditions(data, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1155,8 +1153,8 @@ class TestSearchesFromWalks:
             searches.append((data, np.array(rows), got))
             return got
 
-        def batch_spy(data, nodes, hists):
-            found = best_conditions(data, nodes, hists)
+        def batch_spy(data, nodes):
+            found = best_conditions(data, nodes)
             searches.extend((data, np.array(rows), got) for rows, got in zip(nodes, found))
             if batches is not None:
                 batches.append(len(nodes))
