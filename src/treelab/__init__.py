@@ -11,7 +11,28 @@ and produce bit-identical prediction matrices.  ``__all__`` holds what the
 command line and the tests import from the package; helpers such as
 ``valid_mask``, ``ALGORITHMS`` and ``format_trace_line`` stay in their
 modules.
+
+Importing the package loads numpy with one OpenBLAS thread, unless numpy is
+already loaded or ``OPENBLAS_NUM_THREADS`` is set: treelab makes no BLAS
+call, and OpenBLAS would otherwise start a worker thread per CPU as it loads.
 """
+
+
+def _load_numpy_without_blas_threads() -> None:
+    """Import numpy with ``OPENBLAS_NUM_THREADS=1``, then unset it again."""
+    import os
+    import sys
+
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as OpenBLAS loads
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_without_blas_threads()
 
 from .batched_lazy import fit_predict_batched
 from .bench import run_cv

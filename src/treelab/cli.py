@@ -211,10 +211,9 @@ def cmd_predict(args) -> int:
     train, fit, fit_args = _load_fit(args)
     matrix, _ = fit(*fit_args)
     header = [f"prob_{name}" for name in train.class_names] + ["prediction"]
-    rows = [header] + [
-        [repr(float(p)) for p in matrix[j]] + [train.class_names[int(np.argmax(matrix[j]))]]
-        for j in range(matrix.shape[0])
-    ]
+    # csv writes a float as its repr
+    labels = [train.class_names[c] for c in matrix.argmax(axis=1).tolist()]
+    rows = [header] + [[*probs, label] for probs, label in zip(matrix.tolist(), labels)]
     _write_outputs([(Path(args.out), _csv(rows))])
     return 0
 

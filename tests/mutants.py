@@ -232,6 +232,11 @@ MUTANTS = (
          "tests/test_cli.py::TestTrace::test_guardrail_crossed_inside_a_tree"),
     ),
     Mutant(
+        "numpy loads with OpenBLAS's thread pool", "src/treelab/__init__.py",
+        (('    os.environ["OPENBLAS_NUM_THREADS"] = "1"', '    os.environ["OPENBLAS_NUM_THREADS"] = ""'),),
+        ("tests/test_cli.py::test_import_loads_numpy_without_blas_threads",),
+    ),
+    Mutant(
         "seed-mixing constant changed", "src/treelab/rng.py",
         (("_GAMMA = 0x9E3779B97F4A7C15", "_GAMMA = 0x9E3779B97F4A7C17"),),
         ("tests/test_rng.py", "tests/test_dataset.py::TestBootstrap"),

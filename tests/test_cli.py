@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import ctypes
 import io
+import json
 import os
 import resource
 import subprocess
@@ -841,6 +842,40 @@ def test_cli_import_leaves_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# A child's thread count and OPENBLAS_NUM_THREADS before and after it imports
+# treelab, with numpy imported first when asked.
+BLAS_THREADS = """
+import json, os, sys
+
+def state():
+    return [len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]
+
+if sys.argv[1] == "numpy-first":
+    import numpy
+before = state()
+import treelab
+print(json.dumps([before, state()]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least 2 CPUs")
+@pytest.mark.parametrize("caller, order", [
+    (None, "treelab-first"), ("2", "treelab-first"), (None, "numpy-first")])
+def test_import_loads_numpy_without_blas_threads(caller, order):
+    env = {key: value for key, value in SUBPROCESS_ENV.items() if key != "OPENBLAS_NUM_THREADS"}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS, order],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    if order == "numpy-first":
+        assert after == before  # numpy's own thread pool is left as it started
+    else:
+        assert after == [1 if caller is None else int(caller), caller]
 
 
 def _trace_args(train_test_csvs, out):
