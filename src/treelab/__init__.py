@@ -13,9 +13,13 @@ command line and the tests import from the package; helpers such as
 modules.
 
 Importing the package loads numpy with one OpenBLAS thread, unless numpy is
-already loaded or ``OPENBLAS_NUM_THREADS`` is set: treelab makes no BLAS
-call, and OpenBLAS would otherwise start a worker thread per CPU as it loads.
+already loaded or the caller set one of OpenBLAS's thread-count variables:
+treelab makes no BLAS call, and OpenBLAS would otherwise start a worker
+thread per CPU as it loads.
 """
+
+# what OpenBLAS reads for its thread count, in its order of precedence
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _load_numpy_without_blas_threads() -> None:
@@ -23,7 +27,7 @@ def _load_numpy_without_blas_threads() -> None:
     import os
     import sys
 
-    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+    if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
         return
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, as OpenBLAS loads
     try:

@@ -844,13 +844,14 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-# A child's thread count and OPENBLAS_NUM_THREADS before and after it imports
-# treelab, with numpy imported first when asked.
+# A child's thread count and its *_NUM_THREADS variables before and after it
+# imports treelab, with numpy imported first when asked.
 BLAS_THREADS = """
 import json, os, sys
 
 def state():
-    return [len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]
+    return [len(os.listdir("/proc/self/task")),
+            {name: value for name, value in os.environ.items() if name.endswith("_NUM_THREADS")}]
 
 if sys.argv[1] == "numpy-first":
     import numpy
@@ -862,20 +863,20 @@ print(json.dumps([before, state()]))
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
                     reason="needs /proc/self/task and at least 2 CPUs")
-@pytest.mark.parametrize("caller, order", [
-    (None, "treelab-first"), ("2", "treelab-first"), (None, "numpy-first")])
-def test_import_loads_numpy_without_blas_threads(caller, order):
-    env = {key: value for key, value in SUBPROCESS_ENV.items() if key != "OPENBLAS_NUM_THREADS"}
-    if caller is not None:
-        env["OPENBLAS_NUM_THREADS"] = caller
+@pytest.mark.parametrize("caller, order, threads", [
+    ({}, "treelab-first", 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "treelab-first", 2),
+    ({"OMP_NUM_THREADS": "2"}, "treelab-first", 2),
+    ({}, "numpy-first", None),  # numpy's own thread pool is left as it started
+])
+def test_import_loads_numpy_without_blas_threads(caller, order, threads):
+    env = {key: value for key, value in SUBPROCESS_ENV.items() if not key.endswith("_NUM_THREADS")}
+    env.update(caller)
     proc = subprocess.run([sys.executable, "-c", BLAS_THREADS, order],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout)
-    if order == "numpy-first":
-        assert after == before  # numpy's own thread pool is left as it started
-    else:
-        assert after == [1 if caller is None else int(caller), caller]
+    assert after == (before if threads is None else [threads, caller])
 
 
 def _trace_args(train_test_csvs, out):
