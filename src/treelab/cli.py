@@ -27,7 +27,7 @@ from .dataset import (
     load_prediction_rows,
 )
 from .splitcore import SplitParams
-from .trace import TRACE_HEADER, format_trace_line
+from .trace import TRACE_HEADER, TraceLimitExceeded, format_trace_line
 
 EXIT_DATASET_ERROR = 10
 EXIT_BAD_PARAMS = 11
@@ -222,25 +222,18 @@ def cmd_trace(args) -> int:
     _, fit, fit_args = _load_fit(args)
 
     def write_trace(handle) -> None:
-        lines = 0
-
         def write_line(event) -> None:
-            nonlocal lines
-            lines += 1
-            if lines > TRACE_LINE_LIMIT and not args.force:
-                raise CliError(
-                    f"trace exceeds {TRACE_LINE_LIMIT} lines; pass --force to write it anyway",
-                    EXIT_TRACE_GUARDRAIL,
-                )
             handle.write(format_trace_line(event) + "\n")
 
         handle.write(TRACE_HEADER + "\n")
-        # The fit stops the tree that crosses the limit, and write_line
-        # refuses the line past it.
         fit(*fit_args, on_visit=write_line,
             event_limit=None if args.force else TRACE_LINE_LIMIT)
 
-    _write_outputs([(Path(args.out), write_trace)])
+    try:
+        _write_outputs([(Path(args.out), write_trace)])
+    except TraceLimitExceeded as exc:
+        raise CliError(f"trace exceeds {TRACE_LINE_LIMIT} lines; pass --force to write it anyway",
+                       EXIT_TRACE_GUARDRAIL) from exc
     return 0
 
 

@@ -7,11 +7,12 @@ splits on the best condition.  The walk decides both from the node's own
 class histogram: pure means one nonzero count, and a leaf's label is the
 majority class, ties going to the lowest class index.  :func:`walk` grows
 a tree one depth at a time, with no recursion, so the depth of a tree is
-not bounded by Python's recursion limit; the small nodes of a depth share
-one batched split search.  It partitions one copy of the rows in place and
-holds a few words a node of its current depth.  It reports the tree's
-nodes in preorder, invalid side first, once the tree is done, or once a
-depth takes the events past the caller's limit.
+not bounded by Python's recursion limit; it makes one split search call a
+depth, for every node of the depth that needs one, and
+:func:`~treelab.splitcore.best_conditions` decides which of them share a
+batch.  It partitions one copy of the rows in place and holds a few words
+a node of its current depth.  It reports the tree's nodes in preorder,
+invalid side first, once the tree is done.
 
 The algorithms differ only in the :class:`WalkPolicy` of that walk: the
 eager one (``EAGER``) expands every child, so its model words follow from
@@ -36,17 +37,13 @@ from .metrics import RunMetrics, model_word_count
 from .rng import mix_seed
 from .splitcore import (
     SplitParams,
-    SEGMENT_CLASSES,
-    SEGMENT_MIN,
-    SEGMENT_ROWS,
     Condition,
-    best_condition,
     best_conditions,
     class_histogram,
     partition,
     valid_mask,
 )
-from .trace import TraceEvent
+from .trace import TraceEvent, TraceLimitExceeded
 
 
 @dataclass(slots=True)
@@ -108,12 +105,10 @@ def walk(
     on and adds nothing per node: its subsets reuse those words.
 
     A node's class histogram gives its label and whether it is pure, and is
-    dropped once the node is visited.  The nodes of a depth that need a
-    split search are searched one at a time (:func:`best_condition`),
-    unless at least ``SEGMENT_MIN`` of them hold at most ``SEGMENT_ROWS``
-    rows and the table has at most ``SEGMENT_CLASSES`` classes: those are
-    searched together (:func:`best_conditions`), with the same results.  A
-    per-row walk holds one node per depth, so it never batches.
+    dropped once the node is visited.  The row slices of the nodes of a
+    depth that need a split go to one :func:`best_conditions` call, which
+    returns each node's best condition and decides alone which nodes it
+    searches together.
 
     ``positions`` index rows of ``test_matrix``: they are split by the same
     condition as the training rows, and a leaf adds ``share`` to
@@ -121,10 +116,10 @@ def walk(
     the children no test row reaches.  Each visit becomes a
     :class:`TraceEvent`, the only record of the node; when the tree is
     done, its events are passed to ``on_visit`` in preorder, invalid side
-    first.  ``event_limit`` is the most events the caller takes: once a
-    depth brings ``metrics.nodes_explored`` past it, the walk stops, passes
-    on the events it made, the one past the limit among them, for
-    ``on_visit`` to refuse, and raises ``RuntimeError`` if it did not.
+    first.  ``event_limit`` is the most events the caller takes: a depth
+    that brings ``metrics.nodes_explored`` past it raises
+    :class:`TraceLimitExceeded` before its nodes are visited, and the
+    tree's events are not passed on.
     """
     expand_all = policy.expand_all
     per_row = policy.per_row
@@ -132,38 +127,27 @@ def walk(
     rows = np.array(rows, dtype=np.int64)
     positions = np.array(positions, dtype=np.int64)
     events = []
-    batch = data.class_count <= SEGMENT_CLASSES
     level = [(0, rows.size, 0, positions.size, rows.size, () if on_visit is not None else None)]
-    depth, stopped = 0, False
-    while level and not stopped:
+    depth = 0
+    while level:
         metrics.nodes_explored += len(level)
-        conds, labels, small = [None] * len(level), [None] * len(level), []
-        # The small nodes of a depth wait for one batch search if there can
-        # be enough of them.
-        wait = batch and len(level) >= SEGMENT_MIN
+        if event_limit is not None and metrics.nodes_explored > event_limit:
+            raise TraceLimitExceeded(f"the fit made more than {event_limit} events")
+        labels, searched = [], []
         leaves = depth > params.max_depth
-        for i, (first, end, _, _, held, _) in enumerate(level):
+        for first, end, _, _, held, _ in level:
             if held > metrics.peak_stack_words:
                 metrics.peak_stack_words = held
             node_rows = rows[first:end]
             hist = class_histogram(data, node_rows)
-            cond = None
-            if not (leaves or end - first < params.min_count or np.count_nonzero(hist) == 1):
-                if wait and end - first <= SEGMENT_ROWS:
-                    small.append(i)
-                else:
-                    cond = conds[i] = best_condition(data, node_rows, hist)
-            if cond is None:
-                labels[i] = int(hist.argmax())
-        if len(small) >= SEGMENT_MIN:
-            found = best_conditions(data, [rows[level[i][0]:level[i][1]] for i in small])
-            for i, cond in zip(small, found):
-                conds[i] = cond
-        else:
-            for i in small:
-                conds[i] = best_condition(data, rows[level[i][0]:level[i][1]])
+            search = not (leaves or end - first < params.min_count or np.count_nonzero(hist) == 1)
+            labels.append((int(hist.argmax()), search))
+            if search:
+                searched.append(node_rows)
+        found = iter(best_conditions(data, searched))
         next_level = []
-        for (first, end, start, stop, held, path), label, cond in zip(level, labels, conds):
+        for (first, end, start, stop, held, path), (label, search) in zip(level, labels):
+            cond = next(found) if search else None
             if on_visit is not None:
                 events.append(
                     TraceEvent(
@@ -200,15 +184,12 @@ def walk(
                                    None if path is None else path + (1,)))
         level = next_level
         depth += 1
-        stopped = bool(level) and event_limit is not None and metrics.nodes_explored > event_limit
     if on_visit is not None:
         # A path sorts before its extensions, and the invalid side (0)
         # before the valid one: sorted paths are the preorder.
         events.sort(key=lambda event: event.path)
         for event in events:
             on_visit(event)
-    if stopped:
-        raise RuntimeError(f"on_visit took more than {event_limit} events")
 
 
 def build_tree(
@@ -272,8 +253,9 @@ def fit_bagged(
 
     Each tree adds ``1/b`` to the class it gives a test row, tree by tree, so
     every policy yields the same probability matrix bit for bit.  Each walk
-    makes one event per node it explores, and stops once the fit's events
-    pass ``event_limit`` (:func:`walk`).
+    makes one event per node it explores, and the fit raises
+    :class:`TraceLimitExceeded` once its events pass ``event_limit``
+    (:func:`walk`).
     """
     if b < 1:
         raise ValueError("need at least one bootstrap")

@@ -1,11 +1,12 @@
 """Split selection shared by the eager, lazy, and batched tree algorithms.
 
-All three algorithms call the same :func:`best_condition`, or its batch
-form for many small nodes, :func:`best_conditions`, so equal row subsets
-always produce identical splits.  Candidates are binary tests:
-``value <= threshold`` on numeric attributes (thresholds at midpoints of
-consecutive distinct values) and ``value == code`` on categorical ones (one
-candidate per code present).  The score is Shannon information gain in bits.
+All three algorithms search a depth's nodes with one call of
+:func:`best_conditions`, which returns :func:`best_condition` of each, so
+equal row subsets always produce identical splits.  Candidates are binary
+tests: ``value <= threshold`` on numeric attributes (thresholds at
+midpoints of consecutive distinct values) and ``value == code`` on
+categorical ones (one candidate per code present).  The score is Shannon
+information gain in bits.
 
 One rule picks the split: the highest gain, then the lowest attribute
 index, then the lowest threshold or code.  A candidate is the tuple
@@ -28,9 +29,7 @@ count of classes per group and one gain evaluation over every candidate of
 the block; a threshold's values are read back from ``Dataset.levels``.
 Ranks preserve the order and the equalities of the values, so the
 candidates, their gains and the tie-break are those of a search that takes
-one attribute at a time on the values themselves.  A caller that has just
-counted the node's class histogram passes it as ``hist``, and the search
-does not count it again.
+one attribute at a time on the values themselves.
 
 The route is picked by the node's size and the table's kinds.  A node of
 up to ``TABLE_ROWS`` rows, or of an all-numeric table, sorts blocks of
@@ -152,13 +151,14 @@ bits, so such searches kept 5-67% of their cuts, and the chunk pass cost
 more than the pruning saved.
 
 A search of at most ``SEGMENT_ROWS`` rows costs a few dozen numpy calls
-whatever its size, so a walk scores many such nodes of one depth in one
-batch search (:func:`best_conditions`).  Its two-class nodes take the table
-path and the others the direct path, in batches of consecutive nodes of at
-most ``BLOCK_CELLS`` rows x attributes.  Each node's index goes above the
-bits of its keys, and one sort of the batch's keys orders them by node,
-then attribute, then value: every (node, attribute) row sorts on its own,
-as a block's row does in :func:`best_condition`.  The running counts, of the
+whatever its size, so :func:`best_conditions` scores many such nodes of
+one depth in one batch search (:func:`_batch_best`).  Its two-class nodes
+take the table path and the others the direct path, in batches of
+consecutive nodes of at most ``BLOCK_CELLS`` rows x attributes.  Each
+node's index goes above the bits of its keys, and one sort of the batch's
+keys orders them by node, then attribute, then value: every (node,
+attribute) row sorts on its own, as a block's row does in
+:func:`best_condition`.  The running counts, of the
 lower class or of every class, restart at each row's first cell, and the
 candidates of every node are scored at once by :func:`_table_gains` or
 :func:`_gains`, with the node's size, class counts and entropy as per-group
@@ -170,8 +170,8 @@ offers its own, and the ``Condition`` is built from the winner as above.
 The direct path's running counts hold a class row per group, and its gains
 are evaluated ``BLOCK_CELLS`` counts at a time, so a batch's scratch stays
 within twice its classes per cell; the nodes' class histograms, a column
-each, are counted in one ``bincount``.  A walk batches only on tables of at
-most ``SEGMENT_CLASSES`` classes, where such counts are few.  A node
+each, are counted in one ``bincount``.  Nodes are batched only on tables
+of at most ``SEGMENT_CLASSES`` classes, where such counts are few.  A node
 searched alone keeps :func:`best_condition`'s own loop, which is faster
 for it than a batch of one.
 """
@@ -211,25 +211,24 @@ CHUNK_CELLS = 8
 # rounding of gains and bounds (module docstring).
 PRUNE_MARGIN = 1e-9
 
-# A depth of a walk whose searches include at least SEGMENT_MIN nodes of at
-# most SEGMENT_ROWS rows scores those nodes in one batch search
-# (best_conditions); SEGMENT_ROWS must not exceed TABLE_ROWS.  Chosen by
-# replaying every search of the nine seed-5 workload commands, grouped by
-# (tree, depth), against searching each node alone.  At SEGMENT_MIN = 8,
-# 64 rows took 0.58x the search time on trace-dt, 0.79x on trace-batched and
-# 0.88-0.90x on predict-dt/-batched; 32 rows took 0.65x, 0.87x and
-# 0.91-0.93x; 128 rows 0.53x and 0.74x on the traces but 0.91-0.93x on the
-# predictions.
+# A best_conditions call with at least SEGMENT_MIN nodes of at most
+# SEGMENT_ROWS rows scores those nodes in one batch search (_batch_best);
+# SEGMENT_ROWS must not exceed TABLE_ROWS.  Chosen by replaying every search
+# of the nine seed-5 workload commands, grouped by (tree, depth), against
+# searching each node alone.  At SEGMENT_MIN = 8, 64 rows took 0.58x the
+# search time on trace-dt, 0.79x on trace-batched and 0.88-0.90x on
+# predict-dt/-batched; 32 rows took 0.65x, 0.87x and 0.91-0.93x; 128 rows
+# 0.53x and 0.74x on the traces but 0.91-0.93x on the predictions.
 SEGMENT_ROWS = 64
 # At 64 rows, batches of 2 or 4 nodes took 1.00-1.08x on cv-dt/-batched,
 # whose depths hold few small nodes; 16 took 0.61x on trace-dt, 32 0.67x.
 SEGMENT_MIN = 8
-# A walk batches only on tables of at most SEGMENT_CLASSES classes: a batch's
-# direct path holds a count per class for each of its up to BLOCK_CELLS
-# cells, 16 MiB at 128 classes, where a small node's own search counts only
-# its few cells.  Fits of dt on a 3 000-row table of 4 numeric and 4
-# categorical attributes took 0.65-0.67x the time of per-node searches up to
-# 64 classes, 0.84x at 128, 0.90x at 300 and 1.08x at 1 000.
+# Nodes are batched only on tables of at most SEGMENT_CLASSES classes: a
+# batch's direct path holds a count per class for each of its up to
+# BLOCK_CELLS cells, 16 MiB at 128 classes, where a small node's own search
+# counts only its few cells.  Fits of dt on a 3 000-row table of 4 numeric
+# and 4 categorical attributes took 0.65-0.67x the time of per-node searches
+# up to 64 classes, 0.84x at 128, 0.90x at 300 and 1.08x at 1 000.
 SEGMENT_CLASSES = 128
 
 # The best of a node before any candidate is scored: (gain, -low code, high
@@ -377,7 +376,7 @@ def _gains(parent: np.ndarray, valid: np.ndarray, n_valid: np.ndarray, node=0) -
     that :class:`_KeptCuts` keeps.  Nodes of at most ``TABLE_ROWS`` rows
     that hold two classes take :func:`_table_gains` instead.
 
-    A batch search (:func:`best_conditions`) passes a ``(classes, nodes)``
+    A batch search (:func:`_segment_winners`) passes a ``(classes, nodes)``
     matrix of histograms as ``parent`` and each column's node as ``node``:
     the node's size, histogram and entropy are then per-column operands of
     the same elementwise formulas, so each gain is the same double.
@@ -542,6 +541,11 @@ class _KeptCuts:
         return best
 
 
+def _blocks(attributes: np.ndarray, width: int) -> list:
+    """``attributes`` cut into blocks of ``width``, the last one shorter."""
+    return [attributes[first:first + width] for first in range(0, attributes.size, width)]
+
+
 def _cells(codes: np.ndarray, attributes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The codes of ``rows`` on ascending ``attributes``, one row per attribute.
 
@@ -608,21 +612,19 @@ def partition(cond: Condition, data: Dataset, rows) -> tuple[np.ndarray, np.ndar
     return rows[~mask], rows[mask]
 
 
-def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
+def best_condition(data: Dataset, rows) -> Condition | None:
     """The candidate condition with the highest information gain.
 
     Only candidates that leave both sides non-empty are considered.  Returns
     ``None`` when no candidate exists or the best gain is not positive, in
-    which case the caller should make a leaf.  ``hist`` is the class
-    histogram of ``rows`` (:func:`class_histogram`) when the caller has
-    counted it already; otherwise the search counts it.
+    which case the caller should make a leaf.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("best_condition needs at least one row")
     n = rows.size
     labels = data.labels[rows]
-    parent = np.bincount(labels, minlength=data.class_count) if hist is None else hist
+    parent = np.bincount(labels, minlength=data.class_count)
     present = parent.nonzero()[0]
     if present.size < 2:
         # Every side of a one-class node holds that class alone: each
@@ -644,9 +646,7 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
     best = _NO_SPLIT
     kept = None
     width = max(1, BLOCK_CELLS // n)
-    # A block is the width attributes from an index on, or an array of
-    # attributes of one kind.
-    blocks = range(0, data.n_attributes, width)
+    blocks = _blocks(np.arange(data.n_attributes), width)
     spans = data.categorical
     if n > TABLE_ROWS and spans.size:
         # Categorical attributes are counted per level, twice a block's
@@ -657,17 +657,12 @@ def best_condition(data: Dataset, rows, hist=None) -> Condition | None:
         for first in range(0, counted.shape[1], 2 * width):
             chunk = counted[:, first:first + 2 * width]
             best = _count_levels(data, rows, labels, parent, chunk, best)
-        blocks = [group[first:first + width]
-                  for group in (np.flatnonzero(numeric), spans[0, wide])
-                  for first in range(0, group.size, width)]
+        blocks = [block for group in (np.flatnonzero(numeric), spans[0, wide])
+                  for block in _blocks(group, width)]
     for block in blocks:
         # Row j of the block is its attribute j; each row is sorted on its
         # own, and runs of equal codes in it form one group.
-        if isinstance(block, int):
-            block = slice(block, block + width)
-            keys = data.codes[block].take(rows, axis=1)
-        else:
-            keys = _cells(data.codes, block, rows)
+        keys = _cells(data.codes, block, rows)
         keys <<= bits
         keys |= labels
         keys.sort(axis=1)
@@ -769,17 +764,34 @@ def _condition(data: Dataset, best: tuple) -> Condition | None:
 
 
 def best_conditions(data: Dataset, nodes: list) -> list:
-    """:func:`best_condition` of each node, for many small nodes searched together.
+    """:func:`best_condition` of each node of ``nodes``, a list of row arrays, in order.
 
-    ``nodes`` holds each node's rows, at most ``TABLE_ROWS`` of them (a walk
-    passes nodes of at most ``SEGMENT_ROWS``).  The nodes' class histograms
-    are counted in one ``bincount``.  The nodes of two classes and those of
-    more are searched apart, on the table path and the direct path, in
-    batches of consecutive nodes of at most ``BLOCK_CELLS`` rows x
-    attributes (:func:`_segment_winners`); a node of one class is ``None``.
-    Each batch offers every node its first maximum, as every scoring pass
-    of a search does, and the condition is built from the winner (module
-    docstring).
+    The one search call of a walk's depth, which decides alone which nodes
+    are searched together.  The nodes of at most ``SEGMENT_ROWS`` rows share
+    batch searches (:func:`_batch_best`) when there are at least
+    ``SEGMENT_MIN`` of them and the table has at most ``SEGMENT_CLASSES``
+    classes.  Every other node is searched alone, by the module global
+    :func:`best_condition` (the benchmark's tracer rebinds it to time each
+    call), which is faster for it than a batch of one: every search of at most ``TABLE_ROWS`` rows of the nine seed-5
+    workload commands, each routed through :func:`_segment_winners` as a
+    batch of one, took 1.38-2.12x the time, with no result changed.
+    """
+    small = [i for i, rows in enumerate(nodes) if rows.size <= SEGMENT_ROWS]
+    if len(small) < SEGMENT_MIN or data.class_count > SEGMENT_CLASSES:
+        return [best_condition(data, rows) for rows in nodes]
+    best = dict(zip(small, _batch_best(data, [nodes[i] for i in small])))
+    return [_condition(data, best[i]) if i in best else best_condition(data, rows)
+            for i, rows in enumerate(nodes)]
+
+
+def _batch_best(data: Dataset, nodes: list) -> list:
+    """The best candidate of each node of ``nodes``, of at most ``TABLE_ROWS`` rows each.
+
+    The nodes' class histograms are counted in one ``bincount``; the nodes
+    of two classes and those of more are searched apart, in batches of
+    consecutive nodes of at most ``BLOCK_CELLS`` rows x attributes
+    (:func:`_segment_winners`, module docstring).  A node of one class
+    keeps ``_NO_SPLIT``.
     """
     sizes = np.array([rows.size for rows in nodes])
     classes = data.class_count
@@ -790,8 +802,7 @@ def best_conditions(data: Dataset, nodes: list) -> list:
     present = np.count_nonzero(parents, axis=0)
     width = min(data.n_attributes, max(1, BLOCK_CELLS // int(sizes.max())))
     capacity = BLOCK_CELLS // width
-    blocks = [np.arange(first, min(first + width, data.n_attributes))
-              for first in range(0, data.n_attributes, width)]
+    blocks = _blocks(np.arange(data.n_attributes), width)
     best = [_NO_SPLIT] * len(nodes)
     for two_class, members in ((True, present == 2), (False, present > 2)):
         members = np.flatnonzero(members)
@@ -810,7 +821,7 @@ def best_conditions(data: Dataset, nodes: list) -> list:
                 for i, gain, code, next_code in zip(batch.tolist(), gains.tolist(),
                                                     low.tolist(), high.tolist()):
                     best[i] = max(best[i], (gain, -code, next_code))
-    return [_condition(data, candidate) for candidate in best]
+    return best
 
 
 def _segment_winners(data: Dataset, nodes: list, sizes: np.ndarray, parents: np.ndarray,
@@ -818,11 +829,7 @@ def _segment_winners(data: Dataset, nodes: list, sizes: np.ndarray, parents: np.
     """Each node's first maximum on the attributes of ``block``: gains, low and high codes.
 
     This repeats the block scoring of :func:`best_condition` for many nodes
-    at once, with the same gain formulas; a node searched alone keeps the
-    per-node loop, which is faster for it: every search of at most
-    ``TABLE_ROWS`` rows of the nine seed-5 workload commands, each routed
-    through this function as a batch of one, took 1.38-2.12x the time of
-    :func:`best_condition`, with no result changed.
+    at once, with the same gain formulas.
 
     ``parents`` holds the nodes' class histograms, one column each, and
     every node holds two classes (``two_class``) or every node more.  Each

@@ -5,7 +5,8 @@ node is identified by its branch path from the root: a tuple of 0 (invalid
 side) and 1 (valid side), so traces from different algorithms over the same
 bootstrap are directly comparable.  An event carries the node's split
 :class:`~treelab.splitcore.Condition`, or ``None`` at a leaf; its depth is
-derived from the path.
+derived from the path.  A fit given an ``event_limit`` raises
+:class:`TraceLimitExceeded` once its events pass it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 from .splitcore import Condition
 
 TRACE_HEADER = "# depth\tpath\ttrain\ttest\trow\taction"
+
+
+class TraceLimitExceeded(Exception):
+    """A fit's events passed the ``event_limit`` its caller gave."""
 
 
 @dataclass(frozen=True)

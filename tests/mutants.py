@@ -209,14 +209,23 @@ MUTANTS = (
          "tests/test_eager.py::TestBuildTree::test_matches_independent_recursion_replay"),
     ),
     Mutant(
-        "walk batches a many-class table", "src/treelab/eager_tree.py",
-        (("batch = data.class_count <= SEGMENT_CLASSES", "batch = True"),),
-        ("tests/test_eager.py::TestFitPredictEager::test_many_class_walk_peaks_at_its_largest_search",),
+        "walk batches a many-class table", SPLITCORE,
+        (("len(small) < SEGMENT_MIN or data.class_count > SEGMENT_CLASSES",
+          "len(small) < SEGMENT_MIN"),),
+        ("tests/test_eager.py::TestFitPredictEager::test_many_class_walk_peaks_at_its_largest_search",
+         "tests/test_splitcore.py::TestBatchSearch::test_matches_per_node_search"),
+    ),
+    Mutant(
+        "search hands a large node its neighbour's result", SPLITCORE,
+        (("if i in best else best_condition(data, rows)",
+          "if i in best else best_condition(data, nodes[i - 1])"),),
+        BATCH_TESTS,
     ),
     Mutant(
         "walk holds each node's histogram for its depth", "src/treelab/eager_tree.py",
-        (("hist = class_histogram(data, node_rows)",
-          "hist = class_histogram(data, node_rows)\n            conds.append(hist)"),),
+        (("labels, searched = [], []", "labels, searched, hists = [], [], []"),
+         ("hist = class_histogram(data, node_rows)",
+          "hist = class_histogram(data, node_rows)\n            hists.append(hist)")),
         ("tests/test_eager.py::TestFitPredictEager::test_many_class_walk_peaks_at_its_largest_search",
          "tests/test_eager.py::TestFitPredictEager::test_fit_holds_no_tree"),
     ),
@@ -227,7 +236,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk runs past the event limit", "src/treelab/eager_tree.py",
-        (("stopped = bool(level) and event_limit is not None", "stopped = False and event_limit is not None"),),
+        (("metrics.nodes_explored > event_limit:",
+          "metrics.nodes_explored > event_limit + len(level):"),),
         ("tests/test_eager.py::TestFitPredictEager::test_event_limit_stops_the_walk",
          "tests/test_cli.py::TestTrace::test_guardrail_crossed_inside_a_tree"),
     ),

@@ -29,6 +29,7 @@ from treelab import (
     load_prediction_rows,
     mix_seed,
     run_cv,
+    splitcore,
 )
 from treelab.cli import (
     EXIT_BAD_PARAMS,
@@ -595,12 +596,12 @@ class TestTrace:
         test_values = load_prediction_rows(data, test)
         batches = []
 
-        def batch(data, nodes):
-            batches.append(len(nodes))
-            return best_conditions(data, nodes)
+        def batch(*args):
+            batches.append(args)
+            return segment_winners(*args)
 
-        best_conditions = eager_tree.best_conditions
-        monkeypatch.setattr(eager_tree, "best_conditions", batch)
+        segment_winners = splitcore._segment_winners
+        monkeypatch.setattr(splitcore, "_segment_winners", batch)
         want = self._recursion_traces(data, test_values, SplitParams(min_count=1), 3, 2)
         out = tmp_path / "trace.txt"
         for algorithm, lines in want.items():
@@ -612,10 +613,11 @@ class TestTrace:
             assert bool(batches) == (algorithm != "lazy"), algorithm
 
     def test_guardrail_crossed_inside_a_tree(self, tmp_path, monkeypatch):
-        # The walk passes a tree's events on when the tree is done, but stops
-        # at the depth that crosses the limit: a limit crossed a quarter of
-        # the way through the only tree ends the run with no file, and the
-        # nodes past that depth are never visited.
+        # The walk passes a tree's events on when the tree is done, but
+        # raises at the depth that crosses the limit, before it counts that
+        # depth's classes: a limit crossed a quarter of the way through the
+        # only tree ends the run with no file, and the nodes past that depth
+        # are never visited.
         train, test = self._noisy_csvs(tmp_path, 60)
         out = tmp_path / "trace.txt"
         args = ["trace", "--train", str(train), "--test", str(test), "--algorithm", "dt",
@@ -626,7 +628,7 @@ class TestTrace:
         nodes = sum(depths.values())
         out.unlink()
         limit = nodes // 4
-        # The depth that crosses the limit is the last one visited.
+        # The depth that crosses the limit is the last one explored.
         crossing = next(depth for depth in sorted(depths)
                         if sum(depths[d] for d in depths if d <= depth) > limit)
         visited = sum(depths[d] for d in depths if d <= crossing)
@@ -641,7 +643,7 @@ class TestTrace:
         monkeypatch.setattr(eager_tree, "class_histogram", spy)
         monkeypatch.setattr(cli, "TRACE_LINE_LIMIT", limit)
         assert main(args) == EXIT_TRACE_GUARDRAIL
-        assert len(counted) == visited
+        assert len(counted) == visited - depths[crossing]
         assert not out.exists() and list(tmp_path.iterdir()) == [train, test]
 
     def test_guardrail(self, tmp_path):
@@ -687,7 +689,7 @@ class TestTrace:
             "--out", str(out),
         ]
         assert main(args) == EXIT_TRACE_GUARDRAIL
-        assert len(visits) == limit + 1
+        refused = len(visits)
         assert list(out_dir.iterdir()) == []
         # an existing output is left as it was
         out.write_text("previous\n")
@@ -698,6 +700,10 @@ class TestTrace:
         visits.clear()
         assert main(args + ["--force"]) == 0
         assert len(out.read_text().splitlines()) == len(visits) + 1 > limit + 1
+        # The fit raises inside the walk that takes its events past the
+        # limit; on_visit has taken every event of the walks before it.
+        ends = np.cumsum(list(collections.Counter(event.test_row for event in visits).values()))
+        assert refused == ends[ends <= limit].max(initial=0)
 
     def test_out_in_missing_directory(self, train_test_csvs, tmp_path, capsys):
         train, test = train_test_csvs

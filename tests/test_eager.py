@@ -1,3 +1,4 @@
+import collections
 import os
 import sys
 import tracemalloc
@@ -20,9 +21,11 @@ from treelab import (
     fit_predict_lazy,
     mix_seed,
     predict_row,
+    splitcore,
 )
 from treelab.eager_tree import TreeNode
 from treelab.splitcore import SEGMENT_CLASSES, best_condition, best_conditions
+from treelab.trace import TraceLimitExceeded
 
 
 def fresh_metrics():
@@ -80,14 +83,14 @@ class TestBuildTree:
     def test_pure_node_is_leaf_at_min_count_one(self, monkeypatch):
         # Purity alone stops the walk: no split search runs on a pure node,
         # whether searched alone or in a batch.
-        def no_search(data, rows, hist=None):
+        def no_search(data, rows):
             raise AssertionError("split search on a pure node")
 
-        def no_batch(data, nodes):
+        def no_batch(*args):
             raise AssertionError("batch split search on a pure node")
 
-        monkeypatch.setattr(eager_tree, "best_condition", no_search)
-        monkeypatch.setattr(eager_tree, "best_conditions", no_batch)
+        monkeypatch.setattr(splitcore, "best_condition", no_search)
+        monkeypatch.setattr(splitcore, "_segment_winners", no_batch)
         data = dataset_from_arrays([[1.0], [2.0], [3.0]], [1, 1, 1])
         metrics = fresh_metrics()
         tree = build_tree(data, np.arange(3), SplitParams(min_count=1), metrics)
@@ -97,27 +100,21 @@ class TestBuildTree:
     def test_pure_nodes_of_a_batched_depth_are_not_searched(self, monkeypatch):
         # A 16-class table whose attribute 0 isolates each class: the root
         # splits on it level by level, and the depths that hold many small
-        # nodes batch their searches.  No pure node reaches either entry.
-        searched = []
-
-        def impure(data, rows):
-            hist = eager_tree.class_histogram(data, rows)
-            assert np.count_nonzero(hist) >= 2, "split search on a pure node"
-            searched.append(rows.size)
-
-        def search(data, rows, hist=None):
-            impure(data, rows)
-            return best_condition(data, rows, hist)
-
-        def batch(data, nodes):
+        # nodes batch their searches.  No pure node reaches the walk's
+        # search call.
+        def search(data, nodes):
             for rows in nodes:
-                impure(data, rows)
-            batches.append(len(nodes))
+                hist = eager_tree.class_histogram(data, rows)
+                assert np.count_nonzero(hist) >= 2, "split search on a pure node"
             return best_conditions(data, nodes)
 
-        batches = []
-        monkeypatch.setattr(eager_tree, "best_condition", search)
-        monkeypatch.setattr(eager_tree, "best_conditions", batch)
+        def batch(*args):
+            batches.append(args)
+            return segment_winners(*args)
+
+        batches, segment_winners = [], splitcore._segment_winners
+        monkeypatch.setattr(eager_tree, "best_conditions", search)
+        monkeypatch.setattr(splitcore, "_segment_winners", batch)
         rng = np.random.default_rng(16)
         labels = np.repeat(np.arange(16), 20)
         values = np.column_stack([labels + rng.random(labels.size) * 0.5,
@@ -353,27 +350,39 @@ class TestFitPredictEager:
         assert widest == 20
         assert eager - batched < min(tree_bytes / 3, widest * 12 * 8)
 
-    def test_event_limit_stops_the_walk(self):
-        # The walk stops at the depth that takes the fit's events past the
-        # limit and passes on, in preorder, every node of the depths it
-        # visited; if on_visit takes them all, the fit raises.
+    def test_event_limit_stops_the_walk(self, monkeypatch):
+        # The fit raises at the depth of the second tree that takes its
+        # events past the limit, before it counts that depth's classes:
+        # on_visit has taken every event of the first tree and none of the
+        # second, and the depths past the crossing one are never visited.
         rng = np.random.default_rng(79)
         data = random_dataset(rng, 300, 4, 0, 3)
-        fit_args = (data, np.arange(250), np.arange(250, 253), 1, SplitParams(min_count=1), 5)
-        full, events = [], []
+        fit_args = (data, np.arange(250), np.arange(250, 253), 2, SplitParams(min_count=1), 5)
+        full, events, counted = [], [], []
         fit_predict_eager(*fit_args, on_visit=full.append)
-        with pytest.raises(RuntimeError, match="more than 10 events"):
-            fit_predict_eager(*fit_args, on_visit=events.append, event_limit=10)
-        last = max(len(event.path) for event in events)
-        assert last < max(len(event.path) for event in full)
-        assert events == [event for event in full if len(event.path) <= last]
-        assert len(events) > 10
+        first = [event for event in full if event.bootstrap == 0]
+        depths = collections.Counter(event.depth for event in full if event.bootstrap == 1)
+        limit = len(first) + 10
+        crossing = next(depth for depth in sorted(depths)
+                        if sum(depths[d] for d in depths if d <= depth) > 10)
+        assert crossing < max(depths)
+        count_classes = eager_tree.class_histogram
+
+        def spy(data, rows):
+            counted.append(rows.size)
+            return count_classes(data, rows)
+
+        monkeypatch.setattr(eager_tree, "class_histogram", spy)
+        with pytest.raises(TraceLimitExceeded, match=f"more than {limit} events"):
+            fit_predict_eager(*fit_args, on_visit=events.append, event_limit=limit)
+        assert events == first
+        assert len(counted) == len(first) + sum(depths[d] for d in depths if d < crossing)
 
     def test_many_class_walk_peaks_at_its_largest_search(self, monkeypatch):
         # 500 rows of 40 classes in a table of 4 000, on three 25-level
-        # attributes: many depths hold eight or more small nodes, which the
-        # walk searches one at a time above SEGMENT_CLASSES classes, as a
-        # batch counts every class for each of its cells.  The walk keeps no
+        # attributes: many depths hold eight or more small nodes, which
+        # best_conditions searches one at a time above SEGMENT_CLASSES
+        # classes, as a batch counts every class for each of its cells.  The walk keeps no
         # histogram past its node's visit, so its traced peak is that of
         # its largest search, plus the fit's votes, one histogram and its
         # own few words.
@@ -384,12 +393,12 @@ class TestFitPredictEager:
         assert data.class_count > SEGMENT_CLASSES
         searched = []
 
-        def search(data, rows, hist=None):
+        def search(data, rows):
             if searched is not None:
                 searched.append(np.array(rows))
-            return best_condition(data, rows, hist)
+            return best_condition(data, rows)
 
-        def no_batch(data, nodes):
+        def no_batch(*args):
             raise AssertionError("batch search on a 4 000-class table")
 
         def traced_peak(call):
@@ -400,8 +409,8 @@ class TestFitPredictEager:
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(eager_tree, "best_condition", search)
-        monkeypatch.setattr(eager_tree, "best_conditions", no_batch)
+        monkeypatch.setattr(splitcore, "best_condition", search)
+        monkeypatch.setattr(splitcore, "_segment_winners", no_batch)
         fit_args = (data, np.arange(500), np.arange(3), 1, SplitParams(min_count=1), 5)
         fit_predict_eager(*fit_args)
         nodes, searched = searched, None

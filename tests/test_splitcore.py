@@ -4,10 +4,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -31,6 +32,7 @@ from treelab import (
 from treelab import eager_tree
 from treelab.splitcore import (
     BLOCK_CELLS,
+    SEGMENT_CLASSES,
     SEGMENT_MIN,
     SEGMENT_ROWS,
     TABLE_ROWS,
@@ -619,9 +621,10 @@ class TestEntropyTable:
         params = SplitParams(min_count=2, max_depth=12)
         searches = []
 
-        def spy(data, rows, hist=None):
+        def spy(data, rows):
+            hist = class_histogram(data, rows)
             searches.append(np.count_nonzero(hist) == 2 and len(rows) <= splitcore.TABLE_ROWS)
-            return best_condition(data, rows, hist)
+            return best_condition(data, rows)
 
         def run():
             out = []
@@ -632,7 +635,7 @@ class TestEntropyTable:
                             metrics.peak_stack_words, metrics.model_words))
             return out
 
-        monkeypatch.setattr(eager_tree, "best_condition", spy)
+        monkeypatch.setattr(splitcore, "best_condition", spy)
         table = run()
         assert sum(searches) >= 10
         monkeypatch.setattr(splitcore, "TABLE_ROWS", 0)
@@ -687,8 +690,7 @@ class TestTwoClassSearch:
         for trial in range(12):
             data = self._table(rng, max(n, 40), width)
             rows = rng.integers(0, data.n_rows, size=n)
-            got = repr(best_condition(data, rows, class_histogram(data, rows)))
-            assert got == repr(best_condition(data, rows)), f"trial {trial}"
+            got = repr(best_condition(data, rows))
             want = oracles.per_attribute_best_condition(data, rows)
             assert got == repr(want), f"trial {trial}"
 
@@ -1080,19 +1082,35 @@ class TestBatchSearch:
     """The batch search of a level's small nodes returns each node's best_condition."""
 
     @given(seed=st.integers(0, 2**32 - 1), classes=st.sampled_from([2, 3, 8, 300]),
-           kinds=st.text("nc", min_size=2, max_size=6), count=st.integers(8, 40))
+           kinds=st.text("nc", min_size=2, max_size=6), small=st.integers(0, 40),
+           large=st.integers(0, 3))
+    @example(seed=1, classes=3, kinds="nc", small=0, large=0)  # no node
+    @example(seed=2, classes=3, kinds="nc", small=SEGMENT_MIN - 1, large=0)  # too few
+    @example(seed=3, classes=3, kinds="cn", small=SEGMENT_MIN, large=3)  # large among small
+    @example(seed=4, classes=300, kinds="nc", small=20, large=1)  # too many classes
     @settings(max_examples=120, deadline=None)
-    def test_matches_per_node_search(self, seed, classes, kinds, count):
-        # 8-40 nodes of 1-64 rows drawn with repeats, of one to 300 classes
-        # each, on interleaved numeric and categorical attributes with a
-        # constant one and a tied copy.
+    def test_matches_per_node_search(self, seed, classes, kinds, small, large):
+        # Up to 40 nodes of 1-64 rows drawn with repeats and up to 3 of
+        # 65-300 rows, shuffled together, of one to 300 classes each, on
+        # interleaved numeric and categorical attributes with a constant
+        # one and a tied copy.  The small nodes share a batch search only
+        # when there are SEGMENT_MIN of them and at most SEGMENT_CLASSES
+        # classes; a batch searches only nodes of two classes or more.
         rng = np.random.default_rng(seed)
         data = _batch_table(rng, classes, kinds, 200, grid=int(rng.integers(2, 9)))
-        nodes = _batch_nodes(rng, data, count, SEGMENT_ROWS)
-        got = best_conditions(data, nodes)
-        assert len(got) == count
+        nodes = _batch_nodes(rng, data, small, SEGMENT_ROWS) + [
+            rng.integers(0, data.n_rows, size=int(rng.integers(SEGMENT_ROWS + 1, 301)))
+            for _ in range(large)]
+        nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+        with mock.patch.object(splitcore, "_segment_winners",
+                               wraps=splitcore._segment_winners) as batch:
+            got = best_conditions(data, nodes)
+        assert len(got) == len(nodes)
         for rows, cond in zip(nodes, got):
             assert repr(cond) == repr(best_condition(data, rows))
+        mixed = any(np.count_nonzero(class_histogram(data, rows)) > 1
+                    for rows in nodes if rows.size <= SEGMENT_ROWS)
+        assert batch.called == (small >= SEGMENT_MIN and classes <= SEGMENT_CLASSES and mixed)
 
     def test_ties_break_to_the_first_attribute(self):
         # Every node that splits picks attribute 1 over its copy.
@@ -1115,18 +1133,28 @@ class TestBatchSearch:
         for rows, cond in zip(nodes, best_conditions(data, nodes)):
             assert repr(cond) == repr(oracles.per_attribute_best_condition(data, rows))
 
-    def test_scratch_is_bounded(self):
-        # One batch of BLOCK_CELLS cells, 64-row nodes of a 300-class table
-        # on 16 attributes: its keys and group arrays, the running class
-        # counts of every group (a class row each) and one chunk's gain
-        # evaluation at a time, within the bound of the pruned searches.
-        classes, m, n = 300, 16, BLOCK_CELLS // 16
+    def test_scratch_is_bounded(self, monkeypatch):
+        # One batch of BLOCK_CELLS cells, 64-row nodes of a table of
+        # SEGMENT_CLASSES classes, the most that batch, on 16 attributes:
+        # its keys and group arrays, the running class counts of every
+        # group (a class row each) and one chunk's gain evaluation at a
+        # time, within the bound of the pruned searches.
+        classes, m, n = SEGMENT_CLASSES, 16, BLOCK_CELLS // 16
         rng = np.random.default_rng(300)
         labels = rng.integers(0, classes, size=4 * n)
         data = dataset_from_arrays(rng.normal(size=(4 * n, m)), labels,
                                    class_names=tuple(f"k{i}" for i in range(classes)))
         nodes = np.split(rng.permutation(4 * n)[:n], n // SEGMENT_ROWS)
+        batches = []
+
+        def batch(*args):
+            batches.append(args)
+            return segment_winners(*args)
+
+        segment_winners = splitcore._segment_winners
+        monkeypatch.setattr(splitcore, "_segment_winners", batch)
         best_conditions(data, nodes)  # builds the table's first arrays untraced
+        assert batches
         tracemalloc.start()
         try:
             best_conditions(data, nodes)
@@ -1143,25 +1171,27 @@ class TestSearchesFromWalks:
     def _searches(fit, tables, params, test_step, monkeypatch, batches=None):
         """Every search of seeded fits on the tables, each checked against the oracle.
 
-        Searches made one at a time and in batches are both recorded, and
-        ``batches`` (if given) collects each batch's node count.
+        Every node of the walks' search calls is recorded, and ``batches``
+        (if given) collects the count of small nodes of each call that ran
+        a batch search.
         """
-        searches = []
+        searches, segments = [], []
 
-        def spy(data, rows, hist=None):
-            got = best_condition(data, rows, hist)
-            searches.append((data, np.array(rows), got))
-            return got
-
-        def batch_spy(data, nodes):
+        def spy(data, nodes):
+            before = len(segments)
             found = best_conditions(data, nodes)
             searches.extend((data, np.array(rows), got) for rows, got in zip(nodes, found))
-            if batches is not None:
-                batches.append(len(nodes))
+            if batches is not None and len(segments) > before:
+                batches.append(sum(rows.size <= SEGMENT_ROWS for rows in nodes))
             return found
 
-        monkeypatch.setattr(eager_tree, "best_condition", spy)
-        monkeypatch.setattr(eager_tree, "best_conditions", batch_spy)
+        def segment_spy(*args):
+            segments.append(args)
+            return segment_winners(*args)
+
+        segment_winners = splitcore._segment_winners
+        monkeypatch.setattr(eager_tree, "best_conditions", spy)
+        monkeypatch.setattr(splitcore, "_segment_winners", segment_spy)
         for data in tables:
             fit(data, np.arange(data.n_rows), np.arange(0, data.n_rows, test_step), 2, params, 17)
         for data, rows, got in searches:
